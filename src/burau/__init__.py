@@ -23,7 +23,7 @@ from .density import (ApproximationResult, DepthRegression,
                       SpanFailure, StepRecord, Witness, WitnessLibrary,
                       approximate, build_witness_library, default_library,
                       solve_in_degree)
-from .search import (BudgetExhausted, SearchConfig, SearchHit, SearchOutcome,
+from .search import (SearchConfig, SearchHit, SearchOutcome,
                      alpha_search_config, delta_search_config, search_deep)
 
 __version__ = "0.1.0"

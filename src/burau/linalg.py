@@ -679,16 +679,3 @@ def matrix_lattice(generators: Sequence[IntMatrix]) -> IntLattice:
     n = generators[0].n
     return IntLattice(n * n, [g.vec() for g in generators])
 
-
-def hnf_solve(generators: Sequence[IntMatrix], target: IntMatrix) -> list[int] | None:
-    """Integer c with sum c_i * gen_i = target, or None if no solution."""
-    return matrix_lattice(generators).solve(target.vec())
-
-
-def hnf_membership(generators: Sequence[IntMatrix], target: IntMatrix) -> bool:
-    return matrix_lattice(generators).contains(target.vec())
-
-
-def hnf_kernel(generators: Sequence[IntMatrix]) -> list[tuple[int, ...]]:
-    """Generators of all integer relations sum c_i * gen_i = 0."""
-    return matrix_lattice(generators).kernel_basis()

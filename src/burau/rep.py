@@ -18,8 +18,7 @@ from __future__ import annotations
 from .laurent import LaurentPoly, TruncSeries, ONE, ZERO, T, T_INV
 from .linalg import IntMatrix, LaurentMatrix, TruncMatrix
 from .liealg import GradedElement
-from .words import (BraidWord, Commutator, Concat, Inverse, Literal,
-                    Perm, Power)
+from .words import BraidWord, Perm, fold
 
 
 class DepthTooSmall(ValueError):
@@ -66,152 +65,45 @@ def form_j(n: int) -> LaurentMatrix:
 # ---------------------------------------------------------------------------
 # word evaluation
 
-def _apply_letter_exact(cols: list[list[LaurentPoly]], i: int, sign: int) -> None:
-    """Right-multiply (in place, column list) by beta(sigma_i^sign)."""
-    a, b = cols[i - 1], cols[i]
-    if sign > 0:
-        # new col i = a*(1-t) + b*t ; new col i+1 = a
-        one_minus_t = ONE - T
-        cols[i - 1] = [x * one_minus_t + y * T for x, y in zip(a, b)]
-        cols[i] = a
-    else:
-        # new col i = b ; new col i+1 = a*t^-1 + b*(1-t^-1)
-        one_minus = ONE - T_INV
-        cols[i - 1] = b
-        cols[i] = [x * T_INV + y * one_minus for x, y in zip(a, b)]
 
+def _evaluate(w: BraidWord, one, zero, t, t_inv, matrix):
+    """Image of a word over the ring with scalars one, zero, t and t^-1.
 
-def _literal_exact(node: Literal, inv: bool) -> LaurentMatrix:
-    n = node.n
-    cols = [[ONE if r == c else ZERO for r in range(n)] for c in range(n)]
-    letters = node.letters
-    if inv:
-        letters = tuple((i, -s) for i, s in reversed(letters))
-    for i, s in letters:
-        _apply_letter_exact(cols, i, s)
-    return LaurentMatrix([[cols[c][r] for c in range(n)] for r in range(n)])
+    ``matrix(rows)`` builds a matrix of that ring.  Literal runs are applied
+    as column operations, so beta(sigma_i^+-1) is never multiplied out; the
+    rest is the word fold, whose inverse flag means no matrix is inverted.
+    """
+    n = w.n
+    one_minus_t = one - t
+    one_minus_t_inv = one - t_inv
+
+    def literal(letters):
+        cols = [[one if r == c else zero for r in range(n)] for c in range(n)]
+        for i, s in letters:
+            a, b = cols[i - 1], cols[i]
+            if s > 0:
+                # new col i = a*(1-t) + b*t ; new col i+1 = a
+                cols[i - 1] = [x * one_minus_t + y * t for x, y in zip(a, b)]
+                cols[i] = a
+            else:
+                # new col i = b ; new col i+1 = a*t^-1 + b*(1-t^-1)
+                cols[i - 1] = b
+                cols[i] = [x * t_inv + y * one_minus_t_inv for x, y in zip(a, b)]
+        return matrix(list(zip(*cols)))
+
+    return fold(w, literal, literal(()))
 
 
 def burau_eval(w: BraidWord) -> LaurentMatrix:
-    """Exact image of a word, memoized over shared DAG nodes.
-
-    Inverses are evaluated structurally (the inverse flag distributes to the
-    leaves), so no Laurent-matrix inversion ever happens.
-    """
-    memo: dict[tuple[int, bool], LaurentMatrix] = {}
-    keep: list[BraidWord] = []
-
-    def go(node: BraidWord, inv: bool) -> LaurentMatrix:
-        key = (id(node), inv)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if isinstance(node, Literal):
-            out = _literal_exact(node, inv)
-        elif isinstance(node, Concat):
-            parts = reversed(node.parts) if inv else node.parts
-            out = LaurentMatrix.identity(node.n)
-            for part in parts:
-                out = out * go(part, inv)
-        elif isinstance(node, Inverse):
-            out = go(node.child, not inv)
-        elif isinstance(node, Power):
-            k = node.exponent
-            if k == 0:
-                out = LaurentMatrix.identity(node.n)
-            else:
-                base = go(node.child, inv != (k < 0))
-                out = _mat_power(base, abs(k), LaurentMatrix.identity(node.n))
-        elif isinstance(node, Commutator):
-            x, y = node.left, node.right
-            order = ((y, False), (x, False), (y, True), (x, True)) if inv else \
-                    ((x, False), (y, False), (x, True), (y, True))
-            out = LaurentMatrix.identity(node.n)
-            for child, child_inv in order:
-                out = out * go(child, child_inv)
-        else:
-            raise TypeError(f"unknown word node {type(node).__name__}")
-        memo[key] = out
-        keep.append(node)
-        return out
-
-    return go(w, False)
-
-
-def _mat_power(base, k: int, ident):
-    out = ident
-    while k:
-        if k & 1:
-            out = out * base
-        base = base * base
-        k >>= 1
-    return out
+    """Exact image of a word, memoized over shared DAG nodes."""
+    return _evaluate(w, ONE, ZERO, T, T_INV, LaurentMatrix)
 
 
 def burau_eval_trunc(w: BraidWord, precision: int) -> TruncMatrix:
     """Image of a word in the ring truncated at s^precision."""
-    n = w.n
-    t_s = T.to_series(precision)
-    t_inv_s = T_INV.to_series(precision)
-    one_s = TruncSeries.one(precision)
-    zero_s = TruncSeries.zero(precision)
-    one_minus_t = one_s - t_s
-    one_minus_t_inv = one_s - t_inv_s
-
-    def literal(node: Literal, inv: bool) -> TruncMatrix:
-        cols = [[one_s if r == c else zero_s for r in range(n)] for c in range(n)]
-        letters = node.letters
-        if inv:
-            letters = tuple((i, -s) for i, s in reversed(letters))
-        for i, s in letters:
-            a, b = cols[i - 1], cols[i]
-            if s > 0:
-                cols[i - 1] = [x * one_minus_t + y * t_s for x, y in zip(a, b)]
-                cols[i] = a
-            else:
-                cols[i - 1] = b
-                cols[i] = [x * t_inv_s + y * one_minus_t_inv for x, y in zip(a, b)]
-        return TruncMatrix(precision,
-                           [[cols[c][r] for c in range(n)] for r in range(n)])
-
-    memo: dict[tuple[int, bool], TruncMatrix] = {}
-    keep: list[BraidWord] = []
-
-    def go(node: BraidWord, inv: bool) -> TruncMatrix:
-        key = (id(node), inv)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if isinstance(node, Literal):
-            out = literal(node, inv)
-        elif isinstance(node, Concat):
-            parts = reversed(node.parts) if inv else node.parts
-            out = TruncMatrix.identity(n, precision)
-            for part in parts:
-                out = out * go(part, inv)
-        elif isinstance(node, Inverse):
-            out = go(node.child, not inv)
-        elif isinstance(node, Power):
-            k = node.exponent
-            if k == 0:
-                out = TruncMatrix.identity(n, precision)
-            else:
-                base = go(node.child, inv != (k < 0))
-                out = _mat_power(base, abs(k), TruncMatrix.identity(n, precision))
-        elif isinstance(node, Commutator):
-            x, y = node.left, node.right
-            order = ((y, False), (x, False), (y, True), (x, True)) if inv else \
-                    ((x, False), (y, False), (x, True), (y, True))
-            out = TruncMatrix.identity(n, precision)
-            for child, child_inv in order:
-                out = out * go(child, child_inv)
-        else:
-            raise TypeError(f"unknown word node {type(node).__name__}")
-        memo[key] = out
-        keep.append(node)
-        return out
-
-    return go(w, False)
+    return _evaluate(w, TruncSeries.one(precision), TruncSeries.zero(precision),
+                     T.to_series(precision), T_INV.to_series(precision),
+                     lambda rows: TruncMatrix(precision, rows))
 
 
 # ---------------------------------------------------------------------------

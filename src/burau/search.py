@@ -19,8 +19,6 @@ plus an exact Laurent evaluation for short words).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 import numpy as np
@@ -32,11 +30,6 @@ from .words import (BraidWord, all_perms, commutator, concat, letter_bound,
                     parse_word, word_format)
 
 _OVERFLOW_GUARD = 1 << 40
-
-
-class BudgetExhausted(Exception):
-    """Raised nowhere; searches report exhaustion as a flag, but callers
-    that want to treat it as an error can raise this themselves."""
 
 
 class SearchConfig:
@@ -236,9 +229,6 @@ def search_deep(cfg: SearchConfig) -> SearchOutcome:
     counter = 0
     exhausted = False
     raw_hits: list[tuple[int, tuple[Tree, ...], int]] = []
-    threads = max(1, int(os.environ.get("BURAU_THREADS", "1") or 1))
-    executor = (ThreadPoolExecutor(max_workers=threads) if threads > 1 else None)
-    pending: list = []
 
     def _assemble(seq: tuple[Tree, ...]) -> BraidWord:
         return concat(*[_tree_word(t, cfg) for t in seq])
@@ -266,13 +256,6 @@ def search_deep(cfg: SearchConfig) -> SearchOutcome:
                 raw_hits.append((start + int(t), prefix_trees + (terms[size][t],),
                                  depth))
 
-    def flush(everything: bool = True) -> None:
-        # scan results in submission order so hit order never depends on the
-        # worker schedule
-        while pending and (everything or len(pending) > 4 * threads):
-            fut, start, prefix_trees, size, limit = pending.pop(0)
-            scan_batch(start, prefix_trees, fut.result(), size, limit)
-
     def emit(remaining: int, slots: int, prefix_trees: tuple[Tree, ...],
              prefix: np.ndarray) -> bool:
         """Enumerate continuations; returns False when the budget is hit."""
@@ -287,15 +270,9 @@ def search_deep(cfg: SearchConfig) -> SearchOutcome:
                     limit = cfg.budget - counter
                     exhausted = True
                 if limit > 0:
-                    if executor is None:
-                        scan_batch(counter, prefix_trees,
-                                   _np_mul_batch(prefix, term_arrays[size][:limit]),
-                                   size, limit)
-                    else:
-                        pending.append((executor.submit(_np_mul_batch, prefix,
-                                                        term_arrays[size][:limit]),
-                                        counter, prefix_trees, size, limit))
-                        flush(everything=False)
+                    scan_batch(counter, prefix_trees,
+                               _np_mul_batch(prefix, term_arrays[size][:limit]),
+                               size, limit)
                     counter += limit
                 if exhausted:
                     return False
@@ -311,14 +288,9 @@ def search_deep(cfg: SearchConfig) -> SearchOutcome:
         return True
 
     max_total = cfg.max_terms * max_term_size
-    try:
-        for total in range(1, max_total + 1):
-            if not emit(total, cfg.max_terms, (), ident):
-                break
-        flush()
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True)
+    for total in range(1, max_total + 1):
+        if not emit(total, cfg.max_terms, (), ident):
+            break
 
     perm_mats = [perm_matrix(p) for p in all_perms(n)]
     hits: list[SearchHit] = []

@@ -28,8 +28,10 @@ reserved shapes "s<digits>", "S<digits>", "A<digits>" cannot be bound.
 
 from __future__ import annotations
 
+import functools
+import operator
 import re
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 
 class ParseError(ValueError):
@@ -267,45 +269,72 @@ def pure_gen(n: int, i: int, j: int) -> Literal:
     return Literal(n, letters)
 
 
-# -- structural walks ---------------------------------------------------------
+# -- the word fold -----------------------------------------------------------
+
+V = TypeVar("V")
+Letters = tuple[tuple[int, int], ...]
+_UNSEEN = object()
+
+
+def _mul_all(values: list) -> object:
+    return functools.reduce(operator.mul, values)
+
+
+def fold(w: BraidWord, leaf: Callable[[Letters], V], one: V,
+         product: Callable[[list[V]], V] = _mul_all,
+         memo: dict[tuple[int, bool], V] | None = None) -> V:
+    """Evaluate w in a monoid, once per shared node and inverse flag.
+
+    ``leaf(letters)`` is the value of a literal run, its letters already
+    reversed and negated under an inverse; ``one`` is the identity;
+    ``product(values)`` multiplies a non-empty list left to right (by ``*``
+    unless given).  Inverses are pushed down to the leaves, so the monoid
+    needs no inversion.  Powers square and multiply from the exponent's top
+    bit.  Every node is folded, the child of a zero power too.  ``memo``,
+    when given, receives the value of every (id(node), inverse flag) folded;
+    ``w`` keeps every node alive for the walk, so no id is reused.
+    """
+    memo = {} if memo is None else memo
+
+    def go(node: BraidWord, inv: bool) -> V:
+        key = (id(node), inv)
+        got = memo.get(key, _UNSEEN)
+        if got is not _UNSEEN:
+            return got
+        if isinstance(node, Literal):
+            out = leaf(tuple((i, -s) for i, s in reversed(node.letters))
+                       if inv else node.letters)
+        elif isinstance(node, Concat):
+            parts = reversed(node.parts) if inv else node.parts
+            values = [go(p, inv) for p in parts]
+            out = product(values) if values else one
+        elif isinstance(node, Inverse):
+            out = go(node.child, not inv)
+        elif isinstance(node, Power):
+            k = node.exponent
+            base = go(node.child, inv != (k < 0))
+            out = base if k else one
+            for bit in bin(abs(k))[3:]:
+                out = product([out, out])
+                if bit == "1":
+                    out = product([out, base])
+        elif isinstance(node, Commutator):
+            x, y = (node.right, node.left) if inv else (node.left, node.right)
+            out = product([go(x, False), go(y, False), go(x, True), go(y, True)])
+        else:
+            raise TypeError(f"unknown word node {type(node).__name__}")
+        memo[key] = out
+        return out
+
+    return go(w, False)
 
 
 def word_permutation(w: BraidWord) -> Perm:
     """The image of w in S_n (left-to-right composition; sigma_i -> (i, i+1))."""
-    memo: dict[int, Perm] = {}
-    keep: list[BraidWord] = []  # pin nodes so ids stay unique during the walk
-
-    def go(node: BraidWord) -> Perm:
-        got = memo.get(id(node))
-        if got is not None:
-            return got
-        if isinstance(node, Literal):
-            p = Perm.identity(node.n)
-            for i, _sign in node.letters:
-                p = p * Perm.transposition(node.n, i)
-        elif isinstance(node, Concat):
-            p = Perm.identity(node.n)
-            for part in node.parts:
-                p = p * go(part)
-        elif isinstance(node, Inverse):
-            p = go(node.child).inverse()
-        elif isinstance(node, Power):
-            base = go(node.child)
-            if node.exponent < 0:
-                base = base.inverse()
-            p = Perm.identity(node.n)
-            for _ in range(abs(node.exponent)):
-                p = p * base
-        elif isinstance(node, Commutator):
-            a, b = go(node.left), go(node.right)
-            p = a * b * a.inverse() * b.inverse()
-        else:
-            raise TypeError(f"unknown word node {type(node).__name__}")
-        memo[id(node)] = p
-        keep.append(node)
-        return p
-
-    return go(w)
+    n = w.n
+    one = Perm.identity(n)
+    return fold(w, lambda letters: _mul_all(
+        [one] + [Perm.transposition(n, i) for i, _sign in letters]), one)
 
 
 def perm_lift(p: Perm) -> Literal:
@@ -329,113 +358,38 @@ def perm_lift(p: Perm) -> Literal:
     return out
 
 
-def flatten(w: BraidWord, cap: int | None = None) -> tuple[tuple[int, int], ...]:
+def flatten(w: BraidWord, cap: int | None = None) -> Letters:
     """Freely reduced literal sequence of w.
 
     Free reduction is applied here and only here.  If the reduced length of
     any intermediate exceeds ``cap``, a ValueError is raised; DAG words can
     be exponentially longer than their node count.
     """
-    memo: dict[tuple[int, bool], tuple[tuple[int, int], ...]] = {}
-    keep: list[BraidWord] = []
-
-    def splice(acc: list[tuple[int, int]], seq: Sequence[tuple[int, int]]) -> None:
-        for letter in seq:
-            if acc and acc[-1][0] == letter[0] and acc[-1][1] == -letter[1]:
-                acc.pop()
-            else:
-                acc.append(letter)
-        if cap is not None and len(acc) > cap:
-            raise ValueError(f"flattened word exceeds cap of {cap} letters")
-
-    def go(node: BraidWord, inv: bool) -> tuple[tuple[int, int], ...]:
-        key = (id(node), inv)
-        got = memo.get(key)
-        if got is not None:
-            return got
+    def splice(seqs: Iterable[Letters]) -> Letters:
         acc: list[tuple[int, int]] = []
-        if isinstance(node, Literal):
-            seq = node.letters
-            if inv:
-                seq = tuple((i, -s) for i, s in reversed(seq))
-            splice(acc, seq)
-        elif isinstance(node, Concat):
-            parts = reversed(node.parts) if inv else node.parts
-            for part in parts:
-                splice(acc, go(part, inv))
-        elif isinstance(node, Inverse):
-            splice(acc, go(node.child, not inv))
-        elif isinstance(node, Power):
-            k = node.exponent
-            seq = go(node.child, inv != (k < 0))
-            for _ in range(abs(k)):
-                splice(acc, seq)
-        elif isinstance(node, Commutator):
-            order = ((node.right, False), (node.left, False),
-                     (node.right, True), (node.left, True)) if inv else \
-                    ((node.left, False), (node.right, False),
-                     (node.left, True), (node.right, True))
-            for child, child_inv in order:
-                splice(acc, go(child, child_inv))
-        else:
-            raise TypeError(f"unknown word node {type(node).__name__}")
-        result = tuple(acc)
-        memo[key] = result
-        keep.append(node)
-        return result
+        for seq in seqs:
+            for letter in seq:
+                if acc and acc[-1][0] == letter[0] and acc[-1][1] == -letter[1]:
+                    acc.pop()
+                else:
+                    acc.append(letter)
+            if cap is not None and len(acc) > cap:
+                raise ValueError(f"flattened word exceeds cap of {cap} letters")
+        return tuple(acc)
 
-    return go(w, False)
+    return fold(w, lambda letters: splice([letters]), (), splice)
 
 
 def node_count(w: BraidWord) -> int:
     """Number of distinct DAG nodes (shared subterms counted once)."""
-    seen: set[int] = set()
-    keep: list[BraidWord] = []
-
-    def go(node: BraidWord) -> None:
-        if id(node) in seen:
-            return
-        seen.add(id(node))
-        keep.append(node)
-        if isinstance(node, Concat):
-            for part in node.parts:
-                go(part)
-        elif isinstance(node, (Inverse, Power)):
-            go(node.child)
-        elif isinstance(node, Commutator):
-            go(node.left)
-            go(node.right)
-
-    go(w)
-    return len(seen)
+    memo: dict[tuple[int, bool], None] = {}
+    fold(w, lambda letters: None, None, lambda values: None, memo)
+    return len({node_id for node_id, _inv in memo})
 
 
 def letter_bound(w: BraidWord) -> int:
     """Upper bound on flattened length, computed without expanding."""
-    memo: dict[int, int] = {}
-    keep: list[BraidWord] = []
-
-    def go(node: BraidWord) -> int:
-        got = memo.get(id(node))
-        if got is not None:
-            return got
-        if isinstance(node, Literal):
-            v = len(node.letters)
-        elif isinstance(node, Concat):
-            v = sum(go(p) for p in node.parts)
-        elif isinstance(node, Inverse):
-            v = go(node.child)
-        elif isinstance(node, Power):
-            v = abs(node.exponent) * go(node.child)
-        elif isinstance(node, Commutator):
-            v = 2 * (go(node.left) + go(node.right))
-        else:
-            raise TypeError(f"unknown word node {type(node).__name__}")
-        memo[id(node)] = v
-        keep.append(node)
-        return v
-
-    return go(w)
+    return fold(w, len, 0, sum)
 
 
 # ---------------------------------------------------------------------------

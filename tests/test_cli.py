@@ -7,7 +7,11 @@ into StringIO, so these tests stay independent of pytest's own capture.
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
+import burau
 from burau.cli import main
 from burau.density import default_library
 from burau.liealg import g_bracket, gen_x, gen_y
@@ -284,6 +288,25 @@ def test_verify_paper_rejects_small_degree():
     code, _, err = run(["verify-paper", "--max-degree", "2"])
     assert code == 2
     assert error_kind(err) == "UsageError"
+
+
+def test_verify_paper_fails_under_optimize():
+    # python -O strips assert statements; a broken invariant must still fail
+    script = ("import sys\n"
+              "import burau.cli as cli\n"
+              "if __debug__:\n"
+              "    sys.exit(3)\n"
+              "cli.vector_v = cli.ones_row\n"
+              "sys.exit(cli.main(['verify-paper', '--n', '5', '--max-degree', '3']))\n")
+    src = os.path.dirname(os.path.dirname(burau.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 1, proc.stderr
+    status = {line["check"]: line["status"]
+              for line in map(json.loads, proc.stdout.splitlines())}
+    assert status["fixed-vector"] == "fail"
+    assert status["fixed-row"] == "pass"
 
 
 def test_let_validation():

@@ -1,12 +1,13 @@
 """Word construction, the parser grammar, and permutation plumbing."""
 
 import random
+import time
 
 import pytest
 
-from burau.rep import burau_eval
+from burau.rep import burau_eval, burau_eval_trunc
 from burau.linalg import LaurentMatrix
-from burau.words import (Commutator, IndexOutOfRange,
+from burau.words import (Commutator, Concat, IndexOutOfRange, Inverse,
                          Literal, ParseError, Perm, Power, all_perms,
                          alpha_word, commutator, concat, delta_word,
                          empty_word, flatten, gen, letter_bound, node_count,
@@ -133,6 +134,58 @@ def test_free_reduction_at_flatten():
     assert flatten(w) == ((2, 1),)
 
 
+def rand_dag(rng, n, depth, seen):
+    """A random word DAG over all five node kinds, with shared subterms."""
+    kind = "Literal" if depth == 0 else rng.choice(
+        ("Concat", "Inverse", "Inverse2", "Power", "Commutator"))
+    seen.add(kind)
+    sub = lambda: rand_dag(rng, n, depth - 1, seen)
+    if kind == "Literal":
+        return Literal(n, [(rng.randint(1, n - 1), rng.choice((1, -1)))
+                           for _ in range(rng.randint(0, 2))])
+    if kind == "Concat":
+        return Concat(n, [sub() for _ in range(rng.randint(0, 3))])
+    if kind == "Inverse":
+        return Inverse(n, sub())
+    if kind == "Inverse2":
+        return Inverse(n, Inverse(n, sub()))
+    if kind == "Power":
+        k = rng.randint(-3, 3)
+        seen.add(k)
+        return Power(n, sub(), k)
+    shared = sub()
+    return Commutator(n, shared, Concat(n, (shared, sub())))
+
+
+def _inverse_letters(seq):
+    return [(i, -s) for i, s in reversed(seq)]
+
+
+def expand(w):
+    """Unreduced letters of w by plain recursion, independent of the fold."""
+    if isinstance(w, Literal):
+        return list(w.letters)
+    if isinstance(w, Concat):
+        return [letter for part in w.parts for letter in expand(part)]
+    if isinstance(w, Inverse):
+        return _inverse_letters(expand(w.child))
+    if isinstance(w, Power):
+        base = expand(w.child)
+        return (base if w.exponent >= 0 else _inverse_letters(base)) * abs(w.exponent)
+    x, y = expand(w.left), expand(w.right)
+    return x + y + _inverse_letters(x) + _inverse_letters(y)
+
+
+def free_reduce(letters):
+    out = []
+    for i, s in letters:
+        if out and out[-1] == (i, -s):
+            out.pop()
+        else:
+            out.append((i, s))
+    return tuple(out)
+
+
 def test_dag_eval_matches_flattened_eval():
     rng = random.Random(303)
     for _ in range(10):
@@ -141,6 +194,32 @@ def test_dag_eval_matches_flattened_eval():
         letters = [gen(4, i, s) for i, s in flatten(w)]
         literal = concat(*letters) if letters else empty_word(4)
         assert eval_equal(w, literal)
+    seen = set()
+    for _ in range(40):
+        w = rand_dag(rng, 4, 3, seen)
+        letters = expand(w)
+        literal = Literal(4, letters)
+        assert flatten(w) == free_reduce(letters)
+        exact = burau_eval(w)
+        assert exact == burau_eval(literal)
+        assert burau_eval_trunc(w, 4) == exact.truncate(4)
+        assert word_permutation(w) == word_permutation(literal)
+        assert len(flatten(w)) <= letter_bound(w) == len(letters)
+    kinds = {"Literal", "Concat", "Inverse", "Inverse2", "Power", "Commutator"}
+    assert kinds | set(range(-3, 4)) <= seen
+
+
+def test_flatten_cap_is_met_by_powers():
+    # square-and-multiply must stop at the exponent: squaring past its top
+    # bit would build a longer intermediate and trip a cap the word meets
+    for base in (concat(gen(4, 1), gen(4, 2)),
+                 concat(gen(4, 1), gen(4, 2), gen(4, 1, -1))):
+        for k in range(1, 10):
+            w = Power(4, base, k)
+            cap = len(flatten(w))
+            assert flatten(w, cap=cap) == flatten(w)
+            with pytest.raises(ValueError):
+                flatten(w, cap=cap - 1)
 
 
 def test_node_and_letter_counts():
@@ -184,6 +263,13 @@ def test_word_permutation_cases():
     assert word_permutation(pure_gen(4, 2, 4)).is_identity()
     # composition is left to right: first sigma1, then sigma2
     assert word_permutation(concat(gen(3, 1), gen(3, 2))).images == (3, 1, 2)
+
+
+def test_word_permutation_of_huge_power():
+    t0 = time.perf_counter()
+    assert word_permutation(Power(5, gen(5, 1), 10**18 + 1)) == \
+        Perm((2, 1, 3, 4, 5))
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_word_permutation_homomorphism():
