@@ -12,30 +12,37 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import random
 import sys
 import time
-from fractions import Fraction
 
+from .checks import paper_checks
 from .density import (LibraryIntegrityError, NoSolution, NotInGamma,
                       SpanFailure, WitnessLibrary, approximate,
-                      build_witness_library, default_library, solve_in_degree)
-from .laurent import LaurentPoly
-from .liealg import (GradedElement, bracket_lattice, g_basis, g_bracket,
-                     g_lattice, g_rank, gen_x, gen_y, membership_violations,
-                     orbit)
-from .linalg import IntLattice, IntMatrix, LaurentMatrix, perm_matrix
-from .phi import (CosetElement, KernelElement, KernelTerm, coset_modulus,
-                  phi_eval, phi_from_w, reconstruct_plus, w_prime)
-from .rep import (DepthTooSmall, burau_eval, burau_eval_trunc, burau_gen,
-                  form_j, gamma_check, gamma_coeff, ones_row, vector_v)
+                      build_witness_library)
+from .liealg import GradedElement, g_bracket
+from .linalg import LaurentMatrix
+from .rep import (DepthTooSmall, burau_eval, burau_eval_trunc, gamma_check,
+                  gamma_coeff)
 from .words import (BraidWord, IndexOutOfRange, ParseError, alpha_word,
-                    commutator, concat, delta_word, gen, parse_word, pure_gen,
-                    reserved_name, word_format, word_permutation)
+                    delta_word, parse_word, reserved_name, word_format)
 
 
 class UsageError(Exception):
     """Bad invocation mapped to exit code 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument errors raise UsageError, so main reports them as JSON."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _emit(args, payload: dict, human: str | None = None) -> None:
@@ -79,7 +86,10 @@ def _load_matrix(path: str) -> LaurentMatrix:
     data = _load_json(path)
     if isinstance(data, dict) and "matrix" in data:
         data = data["matrix"]
-    return LaurentMatrix.from_json(data)
+    try:
+        return LaurentMatrix.from_json(data)
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise UsageError(f"{path} holds no matrix: {exc!r}") from exc
 
 
 def _graded_arg(text: str) -> GradedElement:
@@ -96,10 +106,9 @@ def cmd_eval(args) -> int:
     w = _parse(args.word, args.n, args.let)
     if args.truncate is not None:
         m = burau_eval_trunc(w, args.truncate)
-        _emit(args, {"command": "eval", "matrix": m.to_json()}, str(m))
     else:
         m = burau_eval(w)
-        _emit(args, {"command": "eval", "matrix": m.to_json()}, str(m))
+    _emit(args, {"command": "eval", "matrix": m.to_json()}, str(m))
     return 0
 
 
@@ -125,7 +134,7 @@ def cmd_check(args) -> int:
 def cmd_depth(args) -> int:
     if args.truncate is not None:
         if args.word is None:
-            m = _load_matrix(args.matrix).truncate(args.truncate)
+            m = _input_matrix(args).truncate(args.truncate)
         else:
             m = burau_eval_trunc(_parse(args.word, args.n, args.let),
                                  args.truncate)
@@ -200,19 +209,12 @@ def cmd_library_verify(args) -> int:
 
 
 def cmd_approximate(args) -> int:
-    data = _load_json(args.gamma)
-    if isinstance(data, dict) and "matrix" in data:
-        data = data["matrix"]
-    matrix = LaurentMatrix.from_json(data)
+    matrix = _load_matrix(args.gamma)
     library = None
     if args.library is not None:
         library = WitnessLibrary.load(args.library, trust=args.trust)
-    exact = None
-    if args.exact_check:
-        exact = True
-    elif args.no_exact_check:
-        exact = False
-    res = approximate(matrix, args.k, library=library, exact_check=exact)
+    res = approximate(matrix, args.k, library=library,
+                      exact_check=args.exact_check)
     payload = {"command": "approximate", **res.to_json()}
     _emit(args, payload,
           f"word: {word_format(res.word)}\nachieved depth: {res.achieved_depth}")
@@ -248,250 +250,6 @@ def cmd_search(args) -> int:
 # verify-paper: the one-shot behavior suite
 
 
-_DEPTH5_COEFF = [
-    [0, 2, 0, 2, -4],
-    [2, -2, -2, 1, 1],
-    [0, -2, 0, -2, 4],
-    [2, 1, -2, 1, -2],
-    [-4, 1, 4, -2, 1],
-]
-
-
-def _random_word(rng: random.Random, n: int, length: int) -> BraidWord:
-    from .words import Literal
-    letters = [(rng.randrange(1, n), rng.choice((1, -1)))
-               for _ in range(length)]
-    return Literal(n, letters)
-
-
-def _expect(ok: bool) -> None:
-    """Fail a verify-paper check; unlike assert, this is kept under -O."""
-    if not ok:
-        raise AssertionError("check failed")
-
-
-def _vp_checks(n: int, max_degree: int):
-    rng = random.Random(20240811)
-
-    def generator_blocks():
-        for nn in range(2, 7):
-            for i in range(1, nn):
-                m = burau_gen(nn, i)
-                for r in range(nn):
-                    for c in range(nn):
-                        e = m[(r, c)]
-                        if r == c == i - 1:
-                            _expect(e == LaurentPoly({0: 1, 1: -1}))
-                        elif r == i - 1 and c == i:
-                            _expect(e == LaurentPoly({0: 1}))
-                        elif r == i and c == i - 1:
-                            _expect(e == LaurentPoly({1: 1}))
-                        elif r == i and c == i:
-                            _expect(e == LaurentPoly({}))
-                        else:
-                            _expect(e == LaurentPoly({0: 1} if r == c else {}))
-        for i in range(1, n - 1):
-            a, b = gen(n, i), gen(n, i + 1)
-            _expect(burau_eval(concat(a, b, a)) == burau_eval(concat(b, a, b)))
-        for i in range(1, n - 1):
-            for j in range(i + 2, n):
-                a, b = gen(n, i), gen(n, j)
-                _expect(burau_eval(concat(a, b)) == burau_eval(concat(b, a)))
-
-    def sample_words(count=20, length=14):
-        return [_random_word(rng, n, length) for _ in range(count)]
-
-    words = sample_words()
-
-    def fixed_vector():
-        v = vector_v(n)
-        for w in words:
-            _expect(burau_eval(w).mul_vec(v) == v)
-
-    def fixed_row():
-        row = ones_row(n)
-        for w in words:
-            _expect(burau_eval(w).vec_mul(row) == row)
-
-    def hermitian_form():
-        j = form_j(n)
-        for w in words:
-            m = burau_eval(w)
-            _expect(m.star() * j * m == j)
-
-    def permutation_reduction():
-        for w in words:
-            _expect(burau_eval(w).at_one() == perm_matrix(word_permutation(w)))
-
-    lib = default_library(n, max_degree)
-
-    def filtration_bracket():
-        pool = [(k, w) for k in range(1, max_degree + 1)
-                for w in lib.per_degree[k][:3]]
-        for ka, wa in pool:
-            for kb, wb in pool:
-                if ka + kb > max_degree:
-                    continue
-                prec = ka + kb + 1
-                m = burau_eval_trunc(commutator(wa.word, wb.word), prec)
-                _expect(m.depth_bound() >= ka + kb)
-                _expect(m.coefficient(ka + kb) ==
-                        wa.element.matrix.commutator(wb.element.matrix))
-
-    def graded_invariants():
-        for k in range(1, max_degree + 1):
-            for w in lib.per_degree[k]:
-                _expect(membership_violations(k, w.element.matrix) == [])
-
-    def determinant_one():
-        one = LaurentPoly({0: 1})
-        for k in range(2, max_degree + 1):
-            w = lib.per_degree[k][0]
-            _expect(burau_eval(w.word).det() == one)
-
-    def bracket_formulas():
-        import itertools
-        idx = range(1, n + 1)
-        for i, j, k in itertools.permutations(idx, 3):
-            _expect(g_bracket(gen_x(i, j, n), gen_x(i, k, n)).matrix ==
-                    gen_y(i, j, k, n).matrix)
-            _expect(g_bracket(gen_x(i, j, n), gen_y(i, j, k, n)).matrix ==
-                    2 * (gen_x(i, k, n) - gen_x(j, k, n)).matrix)
-        for i, j, k, l in itertools.permutations(idx, 4):
-            _expect(g_bracket(gen_x(i, j, n), gen_x(k, l, n)).matrix.is_zero())
-        for i, j in itertools.permutations(idx, 2):
-            _expect(g_bracket(gen_x(i, j, n), gen_x(i, j, n)).matrix.is_zero())
-            _expect(g_bracket(gen_x(i, j, n), gen_x(j, i, n)).matrix.is_zero())
-
-    def orbit_spans_degree3():
-        seed = GradedElement(3, (gen_x(2, 4, n) - gen_x(1, 3, n)).matrix)
-        lat = IntLattice(n * n, [g.matrix.vec() for g in orbit(seed)])
-        _expect(lat.rank == g_rank(n, 3))
-        _expect(lat == g_lattice(n, 3))
-
-    def bracket_lattices():
-        _expect(bracket_lattice(n, 1) == g_lattice(n, 2))
-        _expect(bracket_lattice(n, 3) == g_lattice(n, 4))
-        l5 = bracket_lattice(n, 4)
-        for b in g_basis(n, 5):
-            _expect(l5.contains(tuple(2 * x for x in b.matrix.vec())))
-            _expect(not l5.contains(b.matrix.vec()))
-
-    def symmetric_reconstruction():
-        basis = g_basis(n, 3)
-        for _ in range(4):
-            coeffs = [rng.randrange(-2, 3) for _ in basis]
-            m = IntMatrix.zero(n)
-            for c, b in zip(coeffs, basis):
-                m = m + c * b.matrix
-            if m.is_zero():
-                continue
-            w = GradedElement(3, m)
-            omega = solve_in_degree(lib, w)
-            om4 = burau_eval_trunc(omega, 5).coefficient(4)
-            plus = reconstruct_plus(w, 2)
-            for i in range(n):
-                for j in range(n):
-                    _expect(plus[i][j] == Fraction(om4[(i, j)] + om4[(j, i)], 2))
-
-    def banded_skew_sums():
-        w = GradedElement(3, (gen_x(2, 4, n) - gen_x(2, 5, n)).matrix)
-        wp = w_prime(w, 2)
-        plus = reconstruct_plus(w, 2)
-        u = [-sum(plus[i][j] for i in range(n)) for j in range(n)]
-        for j in range(n):
-            _expect(sum(wp[i][j] for i in range(n)) == u[j])
-            for i in range(n):
-                _expect(wp[i][j] == -wp[j][i])
-
-    def _flagship():
-        w = GradedElement(3, (gen_x(2, 4, n) - gen_x(2, 5, n)).matrix)
-        omega = commutator(alpha_word(n), gen(n, 4))
-        return KernelElement([KernelTerm((2, 5), w, omega),
-                              KernelTerm((2, 5), w, omega),
-                              KernelTerm((4, 5), w, omega)])
-
-    def phi_expansion_identity():
-        phi_eval(_flagship(), verify=True)
-
-    def phi_witness_independence():
-        d = _flagship()
-        base = phi_eval(d)
-        deep = commutator(alpha_word(n), pure_gen(n, 1, 2))
-        alt = concat(commutator(alpha_word(n), gen(n, 4)), deep)
-        d2 = d.with_witnesses([alt, d.terms[1].witness, d.terms[2].witness])
-        _expect(phi_eval(d2) == base)
-        _expect(phi_from_w(d) == base)
-
-    def phi_coset_value():
-        target = CosetElement(
-            GradedElement(5, (gen_x(2, 4, n) - gen_x(2, 5, n)).matrix),
-            coset_modulus(n, 2))
-        _expect(phi_eval(_flagship()) == target)
-
-    def alpha_reproduction():
-        m = burau_eval(alpha_word(5))
-        _expect(m.depth() == 3)
-        expected = (gen_x(2, 4, 5) - gen_x(1, 3, 5)).matrix
-        _expect(m.s_expand(4)[3] == expected)
-
-    def delta_reproduction():
-        m = burau_eval_trunc(delta_word(5), 6)
-        _expect(m.depth_bound() == 5)
-        _expect(m.coefficient(5) == IntMatrix(_DEPTH5_COEFF))
-
-    def library_spans():
-        for k in range(1, max_degree + 1):
-            _expect(lib.coefficient_lattice(k) == g_lattice(n, k))
-
-    def induction_congruence():
-        lib.verify_induction()
-
-    def solve_roundtrip():
-        for k in range(1, max_degree + 1):
-            basis = g_basis(n, k)
-            coeffs = [rng.randrange(-1, 2) for _ in basis]
-            m = IntMatrix.zero(n)
-            for c, b in zip(coeffs, basis):
-                m = m + c * b.matrix
-            t = GradedElement(k, m)
-            w = solve_in_degree(lib, t)
-            out = burau_eval_trunc(w, k + 1)
-            _expect(out.depth_bound() >= k and out.coefficient(k) == m)
-
-    def approximation_roundtrip():
-        for _ in range(3):
-            w = _random_word(rng, n, 10)
-            g = burau_eval(w)
-            res = approximate(g, min(4, max_degree), library=lib)
-            _expect(res.residual_depth(g) >= min(4, max_degree) + 1)
-
-    return [
-        ("generator-blocks", generator_blocks),
-        ("fixed-vector", fixed_vector),
-        ("fixed-row", fixed_row),
-        ("hermitian-form", hermitian_form),
-        ("permutation-reduction", permutation_reduction),
-        ("filtration-bracket", filtration_bracket),
-        ("graded-invariants", graded_invariants),
-        ("determinant-one", determinant_one),
-        ("bracket-formulas", bracket_formulas),
-        ("orbit-spans-degree3", orbit_spans_degree3),
-        ("bracket-lattices", bracket_lattices),
-        ("symmetric-reconstruction", symmetric_reconstruction),
-        ("banded-skew-sums", banded_skew_sums),
-        ("phi-expansion-identity", phi_expansion_identity),
-        ("phi-witness-independence", phi_witness_independence),
-        ("phi-coset-value", phi_coset_value),
-        ("alpha-reproduction", alpha_reproduction),
-        ("delta-reproduction", delta_reproduction),
-        ("library-spans", library_spans),
-        ("induction-congruence", induction_congruence),
-        ("solve-roundtrip", solve_roundtrip),
-        ("approximation-roundtrip", approximation_roundtrip),
-    ]
-
-
 def cmd_verify_paper(args) -> int:
     if args.n < 5:
         raise UsageError("verify-paper needs --n >= 5: the witness-library "
@@ -500,7 +258,7 @@ def cmd_verify_paper(args) -> int:
     if args.max_degree < 3:
         raise UsageError("verify-paper needs --max-degree >= 3")
     ok = True
-    for name, fn in _vp_checks(args.n, args.max_degree):
+    for name, fn in paper_checks(args.n, args.max_degree):
         t0 = time.time()
         try:
             fn()
@@ -521,26 +279,23 @@ def cmd_verify_paper(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="burau",
-                                description="exact Burau-representation "
-                                "computations, depth analysis, and "
-                                "constructive approximation")
+    p = _Parser(prog="burau", description="exact Burau-representation "
+                "computations, depth analysis, and constructive approximation")
     p.add_argument("--human", action="store_true",
                    help="render output for reading instead of JSON lines")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, word=True):
+    def common(sp):
         sp.add_argument("--n", type=int, default=5)
         sp.add_argument("--let", action="append", metavar="NAME=WORD",
                         help="bind NAME for use inside --word "
                         "(ALPHA and DELTA are built in)")
-        if word:
-            sp.add_argument("--word")
+        sp.add_argument("--word")
         sp.add_argument("--matrix", help="JSON matrix file")
 
     sp = sub.add_parser("eval", help="image of a braid word")
     common(sp)
-    sp.add_argument("--truncate", type=int, metavar="N",
+    sp.add_argument("--truncate", type=positive_int, metavar="N",
                     help="work in the ring truncated at s^N")
     sp.set_defaults(fn=cmd_eval)
 
@@ -550,17 +305,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("depth", help="s-adic depth")
     common(sp)
-    sp.add_argument("--truncate", type=int, metavar="N")
+    sp.add_argument("--truncate", type=positive_int, metavar="N")
     sp.set_defaults(fn=cmd_depth)
 
     sp = sub.add_parser("coeff", help="graded leading coefficient")
     common(sp)
-    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--k", type=positive_int, required=True)
     sp.set_defaults(fn=cmd_coeff)
 
     sp = sub.add_parser("expand", help="s-expansion coefficients")
     common(sp)
-    sp.add_argument("--precision", type=int, required=True)
+    sp.add_argument("--precision", type=positive_int, required=True)
     sp.set_defaults(fn=cmd_expand)
 
     sp = sub.add_parser("bracket", help="bracket of two graded elements")
@@ -575,8 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--library", help="witness library JSON file")
     sp.add_argument("--trust", action="store_true",
                     help="skip re-verification of a loaded library")
-    sp.add_argument("--exact-check", action="store_true")
-    sp.add_argument("--no-exact-check", action="store_true")
+    exact = sp.add_mutually_exclusive_group()
+    exact.add_argument("--exact-check", dest="exact_check",
+                       action="store_const", const=True)
+    exact.add_argument("--no-exact-check", dest="exact_check",
+                       action="store_const", const=False)
     sp.set_defaults(fn=cmd_approximate)
 
     sp = sub.add_parser("search", help="bounded commutator search")
@@ -616,13 +374,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
+    except SystemExit as exc:  # --help
+        return 2 if exc.code not in (0, None) else 0
     except (ParseError, UsageError, json.JSONDecodeError, FileNotFoundError) as exc:
         print(json.dumps({"error": str(exc), "kind": type(exc).__name__}),
               file=sys.stderr)

@@ -43,12 +43,6 @@ class LaurentPoly:
         else:
             self._c = {e: c for e, c in coeffs.items() if c}
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def monomial(coeff: int, exp: int) -> "LaurentPoly":
-        return LaurentPoly({exp: coeff})
-
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -59,9 +53,6 @@ class LaurentPoly:
 
     def coeff(self, exp: int) -> int:
         return self._c.get(exp, 0)
-
-    def exponents(self) -> list[int]:
-        return sorted(self._c)
 
     def min_exp(self) -> int:
         """Lowest exponent with nonzero coefficient.  Undefined for 0."""

@@ -57,13 +57,6 @@ class IntMatrix:
         """The all-ones matrix."""
         return IntMatrix([[1] * n for _ in range(n)])
 
-    @staticmethod
-    def unit(n: int, i: int, j: int) -> "IntMatrix":
-        """E_ij with a single 1 in (1-based) position (i, j)."""
-        rows = [[0] * n for _ in range(n)]
-        rows[i - 1][j - 1] = 1
-        return IntMatrix(rows)
-
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
         return self.rows[i][j]
@@ -115,9 +108,6 @@ class IntMatrix:
     def row_sums(self) -> tuple[int, ...]:
         return tuple(sum(row) for row in self.rows)
 
-    def col_sums(self) -> tuple[int, ...]:
-        return tuple(sum(col) for col in zip(*self.rows))
-
     def mul_vec(self, vec: Sequence[int]) -> tuple[int, ...]:
         return tuple(sum(a * x for a, x in zip(row, vec)) for row in self.rows)
 
@@ -141,16 +131,14 @@ class IntMatrix:
         return tuple(row.index(1) + 1 for row in self.rows)
 
     def det(self) -> int:
-        return _det_minors(self.rows, 0, 1, lambda a, b: a * b,
-                           lambda a, b: a + b, lambda a: -a)
+        return _det_minors(self.rows, 0, 1)
 
     def inverse(self) -> "IntMatrix":
         """Inverse of a matrix with determinant +-1."""
         d = self.det()
         if d not in (1, -1):
             raise NonUnitDeterminant(f"integer determinant {d} is not +-1")
-        adj = _adjugate(self.rows, 0, 1, lambda a, b: a * b,
-                        lambda a, b: a + b, lambda a: -a)
+        adj = _adjugate(self.rows, 0, 1)
         return IntMatrix([[v * d for v in row] for row in adj])
 
     def vec(self) -> tuple[int, ...]:
@@ -200,7 +188,7 @@ def perm_matrix(pi) -> IntMatrix:
 # determinants by minor expansion, generic over the scalar ring
 
 
-def _det_minors(rows, zero, one, mul, add, neg):
+def _det_minors(rows, zero, one):
     """Determinant via first-row Laplace expansion, memoized on column sets.
 
     The submatrices that appear always consist of the last len(cols) rows,
@@ -223,17 +211,15 @@ def _det_minors(rows, zero, one, mul, add, neg):
             if entry == zero:
                 continue
             sub = go(cols[:pos] + cols[pos + 1:])
-            term = mul(entry, sub)
-            if pos % 2:
-                term = neg(term)
-            total = add(total, term)
+            term = entry * sub
+            total = total - term if pos % 2 else total + term
         memo[cols] = total
         return total
 
     return go(tuple(range(n)))
 
 
-def _adjugate(rows, zero, one, mul, add, neg):
+def _adjugate(rows, zero, one):
     """Adjugate matrix: adj[i][j] = (-1)^(i+j) det(minor with row j, col i removed)."""
     n = len(rows)
     out = [[zero] * n for _ in range(n)]
@@ -241,8 +227,8 @@ def _adjugate(rows, zero, one, mul, add, neg):
         reduced = [row for r, row in enumerate(rows) if r != j]
         for i in range(n):
             minor = [[row[c] for c in range(n) if c != i] for row in reduced]
-            d = _det_minors(minor, zero, one, mul, add, neg) if minor else one
-            out[i][j] = neg(d) if (i + j) % 2 else d
+            d = _det_minors(minor, zero, one) if minor else one
+            out[i][j] = -d if (i + j) % 2 else d
     return out
 
 
@@ -368,16 +354,14 @@ class LaurentMatrix:
         return best
 
     def det(self) -> LaurentPoly:
-        return _det_minors(self.rows, ZERO, ONE, lambda a, b: a * b,
-                           lambda a, b: a + b, lambda a: -a)
+        return _det_minors(self.rows, ZERO, ONE)
 
     def inverse(self) -> "LaurentMatrix":
         """Adjugate inverse; requires a unit determinant +-t^a."""
         d = self.det()
         if d.as_unit() is None:
             raise NonUnitDeterminant(f"determinant {d} is not a unit of Z[t,t^-1]")
-        adj = _adjugate(self.rows, ZERO, ONE, lambda a, b: a * b,
-                        lambda a, b: a + b, lambda a: -a)
+        adj = _adjugate(self.rows, ZERO, ONE)
         dinv = d.inverse()
         return LaurentMatrix([[e * dinv for e in row] for row in adj])
 

@@ -11,10 +11,11 @@ are skipped (the commutator is trivial), as are trees nested deeper than
 the configured bound.
 
 Evaluation runs in the truncated ring.  The hot path packs coefficient
-matrices into int64 arrays and multiplies whole leaf batches at once; a
-magnitude guard reruns any batch whose entries could overflow through the
-exact integer path (the rerun is also what every reported hit gets anyway,
-plus an exact Laurent evaluation for short words).
+matrices into arrays and multiplies whole leaf batches at once.  The arrays
+are int64 when an a-priori bound on every product's entries fits, and exact
+Python integers (object dtype) otherwise.  Every reported hit is rechecked
+through the exact integer path, plus an exact Laurent evaluation for short
+words.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ from .linalg import IntMatrix, perm_matrix
 from .rep import burau_eval, burau_eval_trunc
 from .words import (BraidWord, all_perms, commutator, concat, letter_bound,
                     parse_word, word_format)
-
-_OVERFLOW_GUARD = 1 << 40
 
 
 class SearchConfig:
@@ -160,34 +159,23 @@ def _tree_word(tree: Tree, cfg: SearchConfig) -> BraidWord:
 
 
 # ---------------------------------------------------------------------------
-# truncated arithmetic on int64 stacks: shape (precision, n, n)
+# truncated arithmetic on coefficient stacks: shape (precision, n, n), or
+# (precision, T, n, n) for a batch of T, precision first in both
 
 
 def _np_from_trunc(m) -> np.ndarray:
-    p, n = m.precision, m.n
-    out = np.zeros((p, n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            out[:, i, j] = m.rows[i][j].coeffs()
-    return out
-
-
-def _np_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    p = a.shape[0]
-    out = np.zeros_like(a)
-    for i in range(p):
-        for j in range(p - i):
-            out[i + j] += a[i] @ b[j]
-    return out
+    """The (p, n, n) stack of exact integer coefficients of m."""
+    rows = [[e.coeffs() for e in row] for row in m.rows]
+    return np.array(rows, dtype=object).transpose(2, 0, 1)
 
 
 def _np_mul_batch(prefix: np.ndarray, batch: np.ndarray) -> np.ndarray:
-    """prefix (p,n,n) times every element of batch (T,p,n,n)."""
+    """prefix (p,n,n) times batch, one stack (p,n,n) or a batch (p,T,n,n)."""
     p = prefix.shape[0]
     out = np.zeros_like(batch)
     for i in range(p):
         for j in range(p - i):
-            out[:, i + j] += prefix[i] @ batch[:, j]
+            out[i + j] += prefix[i] @ batch[j]
     return out
 
 
@@ -220,11 +208,17 @@ def search_deep(cfg: SearchConfig) -> SearchOutcome:
     term_words = [[_tree_word(t, cfg) for t in level] for level in terms]
     term_arrays = [
         np.stack([_np_from_trunc(burau_eval_trunc(w, precision))
-                  for w in level]) if level else None
+                  for w in level], axis=1) if level else None
         for level in term_words]
+    # a product of at most m = max_terms stacks whose entries have size at
+    # most c has entries, and partial sums, of size at most c^m (n p)^(m-1)
+    c = max(int(np.abs(a).max()) for a in term_arrays if a is not None)
+    bound = c ** cfg.max_terms * (n * precision) ** (cfg.max_terms - 1)
+    dtype = np.int64 if bound < 1 << 62 else object
+    term_arrays = [a if a is None else a.astype(dtype) for a in term_arrays]
 
-    ident = np.zeros((precision, n, n), dtype=np.int64)
-    ident[0] = np.eye(n, dtype=np.int64)
+    ident = np.zeros((precision, n, n), dtype=dtype)
+    ident[0] = np.eye(n, dtype=dtype)
 
     counter = 0
     exhausted = False
@@ -234,22 +228,14 @@ def search_deep(cfg: SearchConfig) -> SearchOutcome:
         return concat(*[_tree_word(t, cfg) for t in seq])
 
     def scan_batch(start: int, prefix_trees: tuple[Tree, ...], out: np.ndarray,
-                   size: int, limit: int) -> None:
-        if np.abs(out).max() >= _OVERFLOW_GUARD:
-            for t in range(limit):
-                seq = prefix_trees + (terms[size][t],)
-                m = burau_eval_trunc(_assemble(seq), precision)
-                d = m.depth_bound()
-                if target <= d < precision:
-                    raw_hits.append((start + t, seq, d))
-            return
-        const_ok = (out[:limit, 0] == ident[0]).all(axis=(1, 2))
+                   size: int) -> None:
+        const_ok = (out[0] == ident[0]).all(axis=(1, 2))
         if target > 1:
-            const_ok &= (out[:limit, 1:target] == 0).all(axis=(1, 2, 3))
+            const_ok &= (out[1:target] == 0).all(axis=(0, 2, 3))
         for t in np.nonzero(const_ok)[0]:
             depth = None
             for c in range(target, precision):
-                if out[t, c].any():
+                if out[c, t].any():
                     depth = c
                     break
             if depth is not None:
@@ -271,19 +257,16 @@ def search_deep(cfg: SearchConfig) -> SearchOutcome:
                     exhausted = True
                 if limit > 0:
                     scan_batch(counter, prefix_trees,
-                               _np_mul_batch(prefix, term_arrays[size][:limit]),
-                               size, limit)
+                               _np_mul_batch(prefix, term_arrays[size][:, :limit]),
+                               size)
                     counter += limit
                 if exhausted:
                     return False
             elif slots > 1:
-                for idx in range(len(level)):
-                    nxt = _np_mul(prefix, term_arrays[size][idx])
-                    if np.abs(nxt).max() >= _OVERFLOW_GUARD:
-                        nxt = _np_from_trunc(burau_eval_trunc(
-                            _assemble(prefix_trees + (level[idx],)), precision))
+                for idx, tree in enumerate(level):
+                    nxt = _np_mul_batch(prefix, term_arrays[size][:, idx])
                     if not emit(remaining - size, slots - 1,
-                                prefix_trees + (level[idx],), nxt):
+                                prefix_trees + (tree,), nxt):
                         return False
         return True
 

@@ -363,8 +363,12 @@ def flatten(w: BraidWord, cap: int | None = None) -> Letters:
 
     Free reduction is applied here and only here.  If the reduced length of
     any intermediate exceeds ``cap``, a ValueError is raised; DAG words can
-    be exponentially longer than their node count.
+    be exponentially longer than their node count.  A negative cap is a
+    ValueError before any folding.
     """
+    if cap is not None and cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
+
     def splice(seqs: Iterable[Letters]) -> Letters:
         acc: list[tuple[int, int]] = []
         for seq in seqs:

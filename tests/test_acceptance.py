@@ -3,277 +3,152 @@
 One test per criterion, in order.  Each prints a single pass/fail line
 (straight to the terminal, bypassing capture) with the measured runtime,
 and enforces the criterion's time bound on top of its content.  All
-comparisons are exact; there are no tolerances anywhere.
+comparisons are exact; there are no tolerances anywhere.  The checks
+themselves live in ``burau.checks``, shared with ``burau verify-paper``;
+each criterion feeds them its own, larger inputs.
 """
 
 import itertools
 import random
 import time
 
-from burau.density import approximate, default_library
-from burau.laurent import LaurentPoly
-from burau.liealg import (GradedElement, bracket_lattice, g_basis, g_bracket,
-                          g_lattice, g_rank, gen_x, gen_y, orbit)
-from burau.linalg import IntLattice, IntMatrix, perm_matrix
-from burau.phi import (CosetElement, KernelElement, KernelTerm, coset_modulus,
-                       phi_eval, phi_from_w)
-from burau.rep import (burau_eval, burau_eval_trunc, burau_gen, form_j,
-                       ones_row, vector_v)
+from burau import checks
+from burau.density import default_library
+from burau.liealg import GradedElement, g_lattice, g_rank, gen_x, orbit
+from burau.phi import CosetElement, coset_modulus, phi_eval, phi_from_w
+from burau.rep import burau_eval
 from burau.search import alpha_search_config, search_deep
-from burau.words import (Literal, alpha_word, commutator, concat, delta_word,
-                         flatten, gen, pure_gen, word_permutation)
-
-DELTA_COEFF = IntMatrix([[0, 2, 0, 2, -4],
-                         [2, -2, -2, 1, 1],
-                         [0, -2, 0, -2, 4],
-                         [2, 1, -2, 1, -2],
-                         [-4, 1, 4, -2, 1]])
+from burau.words import alpha_word, commutator, concat, flatten, gen, pure_gen
 
 
-def criterion(capsys, number, label, bound_seconds, body):
-    start = time.perf_counter()
-    try:
-        body()
-    except BaseException:
-        with capsys.disabled():
-            print(f"criterion {number}: FAIL {label}")
-        raise
-    elapsed = time.perf_counter() - start
-    with capsys.disabled():
-        print(f"criterion {number}: PASS {label} "
-              f"({elapsed:.2f}s, bound {bound_seconds}s)")
-    assert elapsed < bound_seconds
+def criterion(number, label, bound_seconds):
+    """Turn the decorated body into the test of one criterion."""
+    def make_test(body):
+        def test(capsys):
+            start, status = time.perf_counter(), "FAIL"
+            try:
+                body()
+                status = "PASS"
+            finally:
+                elapsed = time.perf_counter() - start
+                with capsys.disabled():
+                    print(f"criterion {number}: {status} {label} "
+                          f"({elapsed:.2f}s, bound {bound_seconds}s)")
+            assert elapsed < bound_seconds
+        return test
+    return make_test
 
 
 def random_words(seed, n, count, max_length, min_length=8):
     rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        length = rng.randrange(min_length, max_length + 1)
-        out.append(Literal(n, [(rng.randrange(1, n), rng.choice((1, -1)))
-                               for _ in range(length)]))
-    return out
+    return [checks.random_word(rng, n, rng.randrange(min_length, max_length + 1))
+            for _ in range(count)]
 
 
-def test_criterion_1_generators(capsys):
-    def body():
-        one = LaurentPoly({0: 1})
-        t = LaurentPoly({1: 1})
-        zero = LaurentPoly({})
-        for n in range(2, 7):
-            for i in range(1, n):
-                m = burau_gen(n, i)
-                for r in range(n):
-                    for c in range(n):
-                        if (r, c) == (i - 1, i - 1):
-                            assert m[(r, c)] == one - t
-                        elif (r, c) == (i - 1, i):
-                            assert m[(r, c)] == one
-                        elif (r, c) == (i, i - 1):
-                            assert m[(r, c)] == t
-                        elif (r, c) == (i, i):
-                            assert m[(r, c)] == zero
-                        else:
-                            assert m[(r, c)] == (one if r == c else zero)
-            for i in range(1, n - 1):
-                a, b = gen(n, i), gen(n, i + 1)
-                assert burau_eval(concat(a, b, a)) == burau_eval(concat(b, a, b))
-                for j in range(i + 2, n):
-                    c = gen(n, j)
-                    assert burau_eval(concat(a, c)) == burau_eval(concat(c, a))
-
-    criterion(capsys, 1, "generator blocks and relations, n = 2..6", 1, body)
+@criterion(1, "generator blocks and relations, n = 2..6", 1)
+def test_criterion_1_generators():
+    checks.generator_blocks(range(2, 7))
 
 
-def test_criterion_2_invariance(capsys):
-    def body():
-        for n in range(2, 7):
-            v = vector_v(n)
-            row = ones_row(n)
-            j = form_j(n)
-            words = [gen(n, i) for i in range(1, n)]
-            words += random_words(1000 + n, n, 200, 16)
-            for w in words:
-                m = burau_eval(w)
-                assert m.mul_vec(v) == v
-                assert m.vec_mul(row) == row
-                assert m.star() * j * m == j
-                assert m.at_one() == perm_matrix(word_permutation(w))
-
-    criterion(capsys, 2, "invariance suite, 200 random words per n <= 6",
-              30, body)
+@criterion(2, "invariance suite, 200 random words per n <= 6", 30)
+def test_criterion_2_invariance():
+    for n in range(2, 7):
+        words = [gen(n, i) for i in range(1, n)]
+        words += random_words(1000 + n, n, 200, 16)
+        images = [burau_eval(w) for w in words]
+        checks.fixed_vector(n, images)
+        checks.fixed_row(n, images)
+        checks.hermitian_form(n, images)
+        checks.permutation_reduction(words, images)
 
 
-def test_criterion_3_alpha(capsys):
-    def body():
-        m = burau_eval(alpha_word(5))
-        assert m.depth() == 3
-        assert m.s_expand(4)[3] == (gen_x(2, 4, 5) - gen_x(1, 3, 5)).matrix
-
-    criterion(capsys, 3, "alpha has depth 3 with coefficient X_24 - X_13",
-              5, body)
+@criterion(3, "alpha has depth 3 with coefficient X_24 - X_13", 5)
+def test_criterion_3_alpha():
+    checks.alpha_reproduction()
 
 
-def test_criterion_4_delta(capsys):
-    def body():
-        m = burau_eval_trunc(delta_word(5), 7)
-        assert m.depth_bound() == 5
-        assert m.coefficient(5) == DELTA_COEFF
-        m6 = burau_eval_trunc(delta_word(6), 7)
-        assert m6.depth_bound() == 5
-        padded = [list(r) + [0] for r in DELTA_COEFF.rows] + [[0] * 6]
-        assert m6.coefficient(5) == IntMatrix(padded)
-
-    criterion(capsys, 4, "delta has depth 5 with the published coefficient, "
-              "n = 5 and 6", 60, body)
+@criterion(4, "delta has depth 5 with the published coefficient, "
+           "n = 5 and 6", 60)
+def test_criterion_4_delta():
+    checks.delta_reproduction(5, 7)
+    checks.delta_reproduction(6, 7)
 
 
-def test_criterion_5_bracket_grading(capsys):
-    def body():
-        lib = default_library(5, 5)
-        combos = [(ka, kb) for ka in range(1, 6) for kb in range(1, 6)
-                  if ka + kb <= 6]
-        pairs = []
-        round_number = 0
-        while len(pairs) < 100:
-            for ka, kb in combos:
-                wa = lib.witnesses(ka)[round_number % len(lib.witnesses(ka))]
-                wb = lib.witnesses(kb)[(3 * round_number + 1)
-                                       % len(lib.witnesses(kb))]
-                pairs.append((ka, kb, wa, wb))
-                if len(pairs) == 100:
-                    break
-            round_number += 1
-        for ka, kb, wa, wb in pairs:
-            total = ka + kb
-            m = burau_eval_trunc(commutator(wa.word, wb.word), total + 1)
-            assert m.depth_bound() >= total
-            assert m.coefficient(total) == \
-                wa.element.matrix.commutator(wb.element.matrix)
-
-    criterion(capsys, 5, "bracket grading on 100 witness pairs, k + l <= 6",
-              120, body)
+@criterion(5, "bracket grading on 100 witness pairs, k + l <= 6", 120)
+def test_criterion_5_bracket_grading():
+    ws = default_library(5, 5).witnesses
+    combos = [(ka, kb) for ka in range(1, 6) for kb in range(1, 6)
+              if ka + kb <= 6]
+    rounds = ((r, ka, kb) for r in itertools.count() for ka, kb in combos)
+    checks.filtration_bracket([
+        (ka, ws(ka)[r % len(ws(ka))], kb, ws(kb)[(3 * r + 1) % len(ws(kb))])
+        for r, ka, kb in itertools.islice(rounds, 100)])
 
 
-def test_criterion_6_graded_structure(capsys):
-    def body():
-        lib = default_library(5, 6)
-        for k in range(1, 7):
-            for w in lib.witnesses(k):
-                m = w.element.matrix
-                assert all(s == 0 for s in m.row_sums())
-                if k % 2 == 0:
-                    assert m.transpose() == IntMatrix(
-                        [[-v for v in row] for row in m.rows])
-                else:
-                    assert m.transpose() == m
-                if k >= 2:
-                    assert m.trace() == 0
-        one = LaurentPoly({0: 1})
-        for k in range(2, 7):
-            assert burau_eval(lib.witnesses(k)[0].word).det() == one
-
-    criterion(capsys, 6, "graded invariants for all library elements to "
-              "degree 6, det = 1 sampled", 60, body)
+@criterion(6, "graded invariants for all library elements to degree 6, "
+           "det = 1 sampled", 60)
+def test_criterion_6_graded_structure():
+    lib = default_library(5, 6)
+    checks.graded_invariants(lib)
+    checks.determinant_one(lib)
 
 
-def test_criterion_7_lie_algebra(capsys):
-    def body():
-        n = 5
-        idx = range(1, n + 1)
-        for i, j, k in itertools.permutations(idx, 3):
-            assert g_bracket(gen_x(i, j, n), gen_x(i, k, n)).matrix == \
-                gen_y(i, j, k, n).matrix
-            assert g_bracket(gen_x(i, j, n), gen_y(i, j, k, n)).matrix == \
-                (2 * (gen_x(i, k, n) - gen_x(j, k, n))).matrix
-        for i, j, k, l in itertools.permutations(idx, 4):
-            assert g_bracket(gen_x(i, j, n), gen_x(k, l, n)).matrix.is_zero()
-        for i, j in itertools.permutations(idx, 2):
-            assert g_bracket(gen_x(i, j, n), gen_x(i, j, n)).matrix.is_zero()
-
-        l4 = bracket_lattice(n, 3)
-        assert l4.rank == 6
-        assert l4 == g_lattice(n, 4)
-
-        l5 = bracket_lattice(n, 4)
-        for b in g_basis(n, 5):
-            assert l5.contains(tuple(2 * x for x in b.matrix.vec()))
-
-        seed = GradedElement(3, (gen_x(2, 4, n) - gen_x(1, 3, n)).matrix)
-        lat = IntLattice(n * n, [g.matrix.vec() for g in orbit(seed)])
-        assert lat.rank == 9 == g_rank(n, 3)
-        assert lat == g_lattice(n, 3)
-
-    criterion(capsys, 7, "bracket formulas for all index patterns and the "
-              "HNF rank certificates", 60, body)
+@criterion(7, "bracket formulas for all index patterns and the HNF rank "
+           "certificates", 60)
+def test_criterion_7_lie_algebra():
+    checks.bracket_formulas(5)
+    checks.bracket_lattices(5)
+    assert g_lattice(5, 4).rank == 6
+    checks.orbit_spans_degree3(5)
+    assert g_rank(5, 3) == 9
 
 
-def test_criterion_8_phi(capsys):
-    def body():
-        n = 5
-        w = GradedElement(3, (gen_x(2, 4, n) - gen_x(2, 5, n)).matrix)
-        d = KernelElement([KernelTerm((2, 5), w), KernelTerm((2, 5), w),
-                           KernelTerm((4, 5), w)])
-        omega = commutator(alpha_word(n), gen(n, 4))
-        deep1 = commutator(pure_gen(n, 1, 2), alpha_word(n))
-        deep2 = commutator(commutator(pure_gen(n, 1, 2), alpha_word(n)),
-                           alpha_word(n))
+@criterion(8, "phi: dual-path agreement, coset value, five witness choices, "
+           "transport", 300)
+def test_criterion_8_phi():
+    n = 5
+    # X_25 (x) W twice and X_45 (x) W, every term witnessed by omega
+    d = checks.flagship_kernel_element(n)
+    omega = commutator(alpha_word(n), gen(n, 4))
+    deep1 = commutator(pure_gen(n, 1, 2), alpha_word(n))
+    deep2 = commutator(deep1, alpha_word(n))
+    target = CosetElement(GradedElement(5, d.terms[0].w.matrix),
+                          coset_modulus(n, 2))
+    witness_choices = [
+        [omega, omega, omega],
+        [concat(omega, deep1), omega, omega],
+        [concat(omega, deep2)] * 3,
+        [concat(omega, deep1, deep2)] * 3,
+        [concat(deep1, omega)] * 3,
+    ]
+    assert len({tuple(flatten(ws[0])) for ws in witness_choices}) == 5
+    # each value is recomputed through the expansion identity and must
+    # agree exactly with the direct path
+    checks.phi_witness_independence(d, witness_choices)
+    checks.phi_coset_value(d, target)
 
-        target = CosetElement(GradedElement(5, w.matrix), coset_modulus(n, 2))
-        witness_choices = [
-            [omega, omega, omega],
-            [concat(omega, deep1), omega, omega],
-            [concat(omega, deep2)] * 3,
-            [concat(omega, deep1, deep2)] * 3,
-            [concat(deep1, omega)] * 3,
-        ]
-        assert len({tuple(flatten(ws[0])) for ws in witness_choices}) == 5
-        values = []
-        for ws in witness_choices:
-            # verify=True recomputes each value through the expansion
-            # identity and insists on exact agreement with the direct path
-            values.append(phi_eval(d.with_witnesses(ws), verify=True))
-        for c in values:
-            assert c == values[0] == target
-
-        assert phi_from_w(d) == target
-
-        lib = default_library(n, 5)
-        d5 = d.relabel(5)
-        c7 = phi_eval(d5.with_witnesses([lib.inductors[5].word] * 3))
-        assert c7.degree == 7
-        assert c7 == values[0].transport(7)
-        assert phi_from_w(d, target_degree=7) == c7
-
-    criterion(capsys, 8, "phi: dual-path agreement, coset value, five "
-              "witness choices, transport", 300, body)
+    lib = default_library(n, 5)
+    c7 = phi_eval(d.relabel(5).with_witnesses([lib.inductors[5].word] * 3))
+    assert c7.degree == 7
+    assert c7 == target.transport(7)
+    assert phi_from_w(d, target_degree=7) == c7
 
 
-def test_criterion_9_density_round_trip(capsys):
-    def body():
-        n, max_degree = 5, 4
-        lib = default_library(n, max_degree)
-        for w in random_words(20240814, n, 20, 15, min_length=6):
-            gamma = burau_eval(w)
-            # only the matrix crosses the boundary; the provenance word stays
-            # on this side
-            result = approximate(gamma, library=lib, exact_check=False)
-            assert result.residual_depth(gamma, precision=6) >= 5
-
-    criterion(capsys, 9, "density round-trip, 20 random words at n = 5, "
-              "K = 4, residual depth >= 5", 600, body)
+@criterion(9, "density round-trip, 20 random words at n = 5, K = 4, "
+           "residual depth >= 5", 600)
+def test_criterion_9_density_round_trip():
+    # the check hands approximate only the matrices; the provenance words
+    # stay on this side
+    words = random_words(20240814, 5, 20, 15, min_length=6)
+    checks.approximation_roundtrip(default_library(5, 4), words, 4,
+                                   exact_check=False)
 
 
-def test_criterion_10_search(capsys):
-    def body():
-        out = search_deep(alpha_search_config(budget=10 ** 6))
-        seed = GradedElement(3, (gen_x(2, 4, 5) - gen_x(1, 3, 5)).matrix)
-        targets = set()
-        for g in orbit(seed):
-            targets.add(g.matrix.vec())
-            targets.add((-g.matrix).vec())
-        assert any(h.depth == 3 and h.leading.matrix.vec() in targets
-                   for h in out.hits)
-
-    criterion(capsys, 10, "alpha search config reaches the orbit of "
-              "X_24 - X_13 within 10^6 candidates", 900, body)
+@criterion(10, "alpha search config reaches the orbit of X_24 - X_13 "
+           "within 10^6 candidates", 900)
+def test_criterion_10_search():
+    out = search_deep(alpha_search_config(budget=10 ** 6))
+    seed = GradedElement(3, (gen_x(2, 4, 5) - gen_x(1, 3, 5)).matrix)
+    targets = {m.vec() for g in orbit(seed) for m in (g.matrix, -g.matrix)}
+    assert any(h.depth == 3 and h.leading.matrix.vec() in targets
+               for h in out.hits)

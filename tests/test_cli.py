@@ -106,6 +106,10 @@ def test_check_needs_input():
     assert code == 2
     assert error_kind(err) == "UsageError"
 
+    code, _, err = run(["depth", "--truncate", "3"])
+    assert code == 2
+    assert error_kind(err) == "UsageError"
+
 
 def test_depth_delta():
     code, lines, _ = run(["depth", "--word", "DELTA"])
@@ -293,10 +297,11 @@ def test_verify_paper_rejects_small_degree():
 def test_verify_paper_fails_under_optimize():
     # python -O strips assert statements; a broken invariant must still fail
     script = ("import sys\n"
+              "import burau.checks as checks\n"
               "import burau.cli as cli\n"
               "if __debug__:\n"
               "    sys.exit(3)\n"
-              "cli.vector_v = cli.ones_row\n"
+              "checks.vector_v = checks.ones_row\n"
               "sys.exit(cli.main(['verify-paper', '--n', '5', '--max-degree', '3']))\n")
     src = os.path.dirname(os.path.dirname(burau.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -307,6 +312,23 @@ def test_verify_paper_fails_under_optimize():
               for line in map(json.loads, proc.stdout.splitlines())}
     assert status["fixed-vector"] == "fail"
     assert status["fixed-row"] == "pass"
+
+
+PAPER_CHECKS = [
+    "generator-blocks", "fixed-vector", "fixed-row", "hermitian-form",
+    "permutation-reduction", "filtration-bracket", "graded-invariants",
+    "determinant-one", "bracket-formulas", "orbit-spans-degree3",
+    "bracket-lattices", "symmetric-reconstruction", "banded-skew-sums",
+    "phi-expansion-identity", "phi-witness-independence", "phi-coset-value",
+    "alpha-reproduction", "delta-reproduction", "library-spans",
+    "induction-congruence", "solve-roundtrip", "approximation-roundtrip"]
+
+
+def test_verify_paper_passes():
+    code, lines, _ = run(["verify-paper", "--n", "5", "--max-degree", "3"])
+    assert code == 0
+    assert [line["check"] for line in lines] == PAPER_CHECKS
+    assert all(line["status"] == "pass" for line in lines)
 
 
 def test_let_validation():
@@ -345,3 +367,44 @@ def test_usage_exit_codes():
     assert run_human(["--help"])[0] == 0
     assert run_human([])[0] == 2
     assert run_human(["no-such-command"])[0] == 2
+
+
+# ---------------------------------------------------------------------------
+# argument errors: exit 2 with one JSON line naming a UsageError
+
+
+def test_truncate_zero_is_a_usage_error():
+    for command in ("eval", "depth"):
+        code, _, err = run([command, "--word", "s1", "--truncate", "0"])
+        assert code == 2
+        assert error_kind(err) == "UsageError"
+
+
+def test_precision_zero_is_a_usage_error():
+    code, _, err = run(["expand", "--word", "s1", "--precision", "0"])
+    assert code == 2
+    assert error_kind(err) == "UsageError"
+
+
+def test_coeff_degree_zero_is_a_usage_error():
+    code, _, err = run(["coeff", "--word", "s1", "--k", "0"])
+    assert code == 2
+    assert error_kind(err) == "UsageError"
+
+
+def test_exact_check_flags_exclude_each_other(tmp_path):
+    path = tmp_path / "gamma.json"
+    path.write_text(json.dumps(burau_eval(parse_word("A13", N)).to_json()))
+    code, lines, err = run(["approximate", "--gamma", str(path), "--k", "2",
+                            "--exact-check", "--no-exact-check"])
+    assert code == 2
+    assert lines == []
+    assert error_kind(err) == "UsageError"
+
+
+def test_matrix_file_without_entries_is_a_usage_error(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 3}))
+    code, _, err = run(["check", "--matrix", str(path)])
+    assert code == 2
+    assert error_kind(err) == "UsageError"

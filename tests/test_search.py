@@ -7,11 +7,11 @@ generator combinations they must equal.
 
 import pytest
 
-from burau.liealg import gen_x
+from burau.liealg import gen_x, gen_y
 from burau.search import (SearchConfig, alpha_search_config,
                           delta_search_config, search_deep)
-from burau.words import (alpha_word, commutator, delta_word, flatten, gen,
-                         pure_gen)
+from burau.words import (Power, alpha_word, commutator, delta_word, flatten,
+                         gen, pure_gen)
 
 
 def test_single_word_pool_finds_itself():
@@ -83,6 +83,42 @@ def test_alpha_configuration_budget_exhaustion():
     assert [h.index for h in out.hits] == [50]
     assert flatten(out.hits[0].word) == flatten(
         commutator(pure_gen(5, 1, 3), pure_gen(5, 2, 4)))
+
+
+def test_huge_power_pool_runs_on_exact_integers():
+    # A_12^(10^7) has degree-2 coefficients near 10^14, so products of two
+    # terms can leave int64 and the scan must run on exact integers; the
+    # expected hits come from evaluating every candidate one by one
+    big = 10 ** 7
+    pool = [Power(5, pure_gen(5, 1, 2), big), pure_gen(5, 1, 3),
+            pure_gen(5, 2, 3), pure_gen(5, 3, 4)]
+    out = search_deep(SearchConfig(5, 2, pool, max_nesting=1, max_terms=2,
+                                   precision=3))
+    assert (out.candidates, out.budget_exhausted) == (272, False)
+    y = [gen_y(1, 2, 3, 5), gen_y(1, 4, 3, 5), gen_y(2, 4, 3, 5)]
+    # index: coefficients of the leading term on Y_123, Y_143, Y_243
+    expected = {20: (big, 0, 0), 24: (1, 0, 0), 128: (2 * big, 0, 0),
+                132: (big + 1, 0, 0), 133: (big, 1, 0), 135: (big - 1, 0, 0),
+                136: (big, 0, 1), 180: (2, 0, 0), 181: (1, 1, 0),
+                184: (1, 0, 1)}
+    assert [h.index for h in out.hits] == list(expected)
+    for h in out.hits:
+        assert h.depth == 2
+        a, b, c = expected[h.index]
+        assert h.leading == a * y[0] + b * y[1] + c * y[2]
+
+
+def test_int64_wraparound_cannot_hide_a_hit():
+    # four copies of A_12^(2^62) have degree-1 coefficient 2^64 X_12, which
+    # int64 arithmetic wraps to zero; the a-priori bound puts this pool on
+    # exact integers, so all four products are hits
+    k = 2 ** 62
+    out = search_deep(SearchConfig(5, 1, [Power(5, pure_gen(5, 1, 2), k)],
+                                   max_nesting=0, max_terms=4, precision=2))
+    assert [h.index for h in out.hits] == [0, 1, 2, 3]
+    for m, h in enumerate(out.hits, start=1):
+        assert h.depth == 1
+        assert h.leading == m * k * gen_x(1, 2, 5)
 
 
 def test_search_is_deterministic():

@@ -222,6 +222,14 @@ def test_flatten_cap_is_met_by_powers():
                 flatten(w, cap=cap - 1)
 
 
+def test_flatten_rejects_negative_cap():
+    # the empty Concat splices nothing, so only a check made before the
+    # fold can reject its cap
+    for w in (Literal(4), Concat(4, [])):
+        with pytest.raises(ValueError, match="cap must be >= 0"):
+            flatten(w, cap=-1)
+
+
 def test_node_and_letter_counts():
     base = gen(5, 1)
     w = Power(5, Power(5, base, 10), 10)
