@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 
@@ -92,10 +93,29 @@ def _load_matrix(path: str) -> LaurentMatrix:
         raise UsageError(f"{path} holds no matrix: {exc!r}") from exc
 
 
-def _graded_arg(text: str) -> GradedElement:
+def _decode(source: str, decode, data):
+    """decode(data), with a missing or mistyped field reported as a
+    UsageError that names the file or argument it came from."""
+    try:
+        return decode(data)
+    except KeyError as exc:
+        raise UsageError(f"{source} lacks the field {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise UsageError(f"{source} is malformed: {exc}") from exc
+
+
+def _graded_arg(text: str, name: str) -> GradedElement:
     if text.startswith("@"):
-        return GradedElement.from_json(_load_json(text[1:]))
-    return GradedElement.from_json(json.loads(text))
+        return _decode(text[1:], GradedElement.from_json, _load_json(text[1:]))
+    return _decode(name, GradedElement.from_json, json.loads(text))
+
+
+def _load_library(path: str, trust: bool) -> WitnessLibrary:
+    lib = _decode(path, lambda data: WitnessLibrary.from_json(data, trust=True),
+                  _load_json(path))
+    if not trust:
+        lib.verify()
+    return lib
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +191,8 @@ def cmd_expand(args) -> int:
 
 
 def cmd_bracket(args) -> int:
-    a = _graded_arg(args.a)
-    b = _graded_arg(args.b)
+    a = _graded_arg(args.a, "--a")
+    b = _graded_arg(args.b, "--b")
     out = g_bracket(a, b)
     _emit(args, {"command": "bracket", "element": out.to_json()},
           f"degree {out.degree}\n{out.matrix}")
@@ -197,7 +217,7 @@ def cmd_library_build(args) -> int:
 
 def cmd_library_verify(args) -> int:
     t0 = time.time()
-    lib = WitnessLibrary.load(args.library, trust=args.trust)
+    lib = _load_library(args.library, args.trust)
     if args.trust:
         note = "parsed without re-verification (--trust)"
     else:
@@ -212,7 +232,7 @@ def cmd_approximate(args) -> int:
     matrix = _load_matrix(args.gamma)
     library = None
     if args.library is not None:
-        library = WitnessLibrary.load(args.library, trust=args.trust)
+        library = _load_library(args.library, args.trust)
     res = approximate(matrix, args.k, library=library,
                       exact_check=args.exact_check)
     payload = {"command": "approximate", **res.to_json()}
@@ -228,11 +248,11 @@ def cmd_search(args) -> int:
         cfg = alpha_search_config()
     elif args.delta:
         cfg = delta_search_config()
-    elif args.config is not None:
-        cfg = SearchConfig.from_json(_load_json(args.config),
-                                     _bindings(args.n, args.let))
     else:
-        raise UsageError("need --config, --alpha, or --delta")
+        bindings = _bindings(args.n, args.let)
+        cfg = _decode(args.config,
+                      lambda data: SearchConfig.from_json(data, bindings),
+                      _load_json(args.config))
     if args.budget is not None:
         cfg.budget = args.budget
     out = search_deep(cfg)
@@ -340,11 +360,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("search", help="bounded commutator search")
     sp.add_argument("--n", type=int, default=5)
     sp.add_argument("--let", action="append", metavar="NAME=WORD")
-    sp.add_argument("--config", help="JSON config file")
-    sp.add_argument("--alpha", action="store_true",
-                    help="the depth-3 reconstruction config")
-    sp.add_argument("--delta", action="store_true",
-                    help="the depth-5 reconstruction config")
+    mode = sp.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--config", help="JSON config file")
+    mode.add_argument("--alpha", action="store_true",
+                      help="the depth-3 reconstruction config")
+    mode.add_argument("--delta", action="store_true",
+                      help="the depth-5 reconstruction config")
     sp.add_argument("--budget", type=int)
     sp.set_defaults(fn=cmd_search)
 
@@ -379,6 +400,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except SystemExit as exc:  # --help
         return 2 if exc.code not in (0, None) else 0
+    except BrokenPipeError:
+        # the reader closed stdout; send what is still buffered nowhere, so
+        # the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ParseError, UsageError, json.JSONDecodeError, FileNotFoundError) as exc:
         print(json.dumps({"error": str(exc), "kind": type(exc).__name__}),
               file=sys.stderr)

@@ -381,29 +381,27 @@ def default_library(n: int, max_degree: int) -> WitnessLibrary:
     return _LIBRARY_CACHE[key]
 
 
+def _solve(lib: WitnessLibrary, k: int,
+           target: IntMatrix) -> tuple[list[int], BraidWord]:
+    """The canonical HNF solution over the degree-k witness coefficients,
+    and the product of witness powers it gives."""
+    coeffs = lib.coefficient_lattice(k).solve(target.vec())
+    if coeffs is None:
+        raise NoSolution(f"target is not in the degree-{k} coefficient lattice")
+    parts = [w.word if c == 1 else Power(lib.n, w.word, c)
+             for c, w in zip(coeffs, lib.witnesses(k)) if c != 0]
+    return coeffs, concat(*parts) if parts else empty_word(lib.n)
+
+
 def solve_in_degree(lib: WitnessLibrary, t: GradedElement) -> BraidWord:
     """A braid word of depth >= k whose degree-k coefficient is t.
 
     Returns the product of witness powers for the canonical HNF solution.
     Valid because coefficients add under products of depth->=k elements.
     """
-    k = t.degree
     if t.n != lib.n:
         raise ValueError("size mismatch between target and library")
-    witnesses = lib.witnesses(k)
-    if t.matrix.is_zero():
-        return empty_word(lib.n)
-    coeffs = IntLattice(lib.n * lib.n,
-                        [w.element.matrix.vec() for w in witnesses]).solve(
-                            t.matrix.vec())
-    if coeffs is None:
-        raise NoSolution(f"target is not in the degree-{k} coefficient lattice")
-    parts: list[BraidWord] = []
-    for c, w in zip(coeffs, witnesses):
-        if c == 0:
-            continue
-        parts.append(w.word if c == 1 else Power(lib.n, w.word, c))
-    return concat(*parts) if parts else empty_word(lib.n)
+    return _solve(lib, t.degree, t.matrix)[1]
 
 
 class StepRecord:
@@ -498,20 +496,11 @@ def approximate(gamma: GammaElement | LaurentMatrix, max_degree: int | None = No
             raise DepthRegression(f"entered degree {k} with depth "
                                   f"{residual.depth_bound()}")
         t = residual.coefficient(k)
-        witnesses = library.witnesses(k)
         if t.is_zero():
-            steps.append(StepRecord(k, (0,) * len(witnesses),
+            steps.append(StepRecord(k, (0,) * len(library.witnesses(k)),
                                     residual.depth_bound()))
             continue
-        coeffs = IntLattice(n * n,
-                            [w.element.matrix.vec() for w in witnesses]).solve(
-                                t.vec())
-        if coeffs is None:
-            raise NoSolution(f"residual coefficient at degree {k} is outside "
-                             "the library span")
-        parts = [w.word if c == 1 else Power(n, w.word, c)
-                 for c, w in zip(coeffs, witnesses) if c != 0]
-        correction = concat(*parts) if parts else empty_word(n)
+        coeffs, correction = _solve(library, k, t)
         word = concat(word, correction.inverse())
         residual = residual * burau_eval_trunc(correction, precision).inverse()
         if residual.depth_bound() < k + 1:

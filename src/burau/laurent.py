@@ -281,8 +281,8 @@ S = LaurentPoly({1: 1, 0: -1})  # s = t - 1
 class TruncSeries:
     """An element of Z[s]/(s^N), stored as the coefficient list of s^0..s^{N-1}.
 
-    Arithmetic between series of different precision is refused rather than
-    silently coerced; every matrix in a truncated computation shares one N.
+    The scalar of word evaluation's column operations; a ``TruncMatrix``
+    stores coefficient stacks instead.  Mixed precisions are refused.
 
     >>> a = TruncSeries(3, [1, 1])        # 1 + s
     >>> print(a * a)
@@ -310,9 +310,6 @@ class TruncSeries:
     def one(precision: int) -> "TruncSeries":
         return TruncSeries(precision, [1])
 
-    def coeff(self, k: int) -> int:
-        return self._c[k]
-
     def coeffs(self) -> list[int]:
         return list(self._c)
 
@@ -332,9 +329,6 @@ class TruncSeries:
         self._check(other)
         return TruncSeries(self.precision,
                            [a - b for a, b in zip(self._c, other._c)])
-
-    def __neg__(self) -> "TruncSeries":
-        return TruncSeries(self.precision, [-a for a in self._c])
 
     def __mul__(self, other: "TruncSeries | int") -> "TruncSeries":
         if isinstance(other, int):
@@ -361,9 +355,6 @@ class TruncSeries:
         if isinstance(other, int):
             return self._c[0] == other and not any(self._c[1:])
         return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.precision, tuple(self._c)))
 
     def valuation_bound(self) -> int:
         """Smallest k with nonzero s^k coefficient, or N when zero to precision."""

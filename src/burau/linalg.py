@@ -7,6 +7,10 @@ word evaluation, where only the first N s-adic coefficients matter.  Both
 paths are exact in their own ring: truncation at t = 1 + s is a ring
 homomorphism, so a truncated result is a theorem about the exact one.
 
+A truncated matrix is the (N, n, n) numpy stack of its s^k coefficient
+matrices, with Python-int entries.  :func:`trunc_mul` is the one product in
+Z[s]/(s^N), for ``TruncMatrix`` and for the commutator search's batches.
+
 Integer matrices double as s-adic coefficients and as vectors in Z^(n^2)
 (row-major) for the Hermite-normal-form machinery at the bottom of the file.
 """
@@ -15,6 +19,8 @@ from __future__ import annotations
 
 import math
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .laurent import ONE, ZERO, LaurentPoly, TruncSeries
 
@@ -328,10 +334,8 @@ class LaurentMatrix:
 
         Reassembling sum_i s^i * coeff[i] recovers the matrix modulo s^N.
         """
-        series = [[e.to_series(precision) for e in row] for row in self.rows]
-        return [IntMatrix([[series[i][j].coeff(k) for j in range(self.n)]
-                           for i in range(self.n)])
-                for k in range(precision)]
+        m = self.truncate(precision)
+        return [m.coefficient(k) for k in range(precision)]
 
     def truncate(self, precision: int) -> "TruncMatrix":
         return TruncMatrix(precision,
@@ -388,13 +392,34 @@ class LaurentMatrix:
 
 
 # ---------------------------------------------------------------------------
-# truncated matrices
+# truncated matrices: stacks of coefficient matrices, precision first
+
+
+def trunc_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product in Z[s]/(s^p) of coefficient stacks, precision first.
+
+    ``a`` is one stack (p, n, n); ``b`` is one stack (p, n, n) or a batch
+    (p, T, n, n), each of whose T matrices is multiplied by ``a`` on the
+    left.  The result has the dtype of ``b``: exact for object stacks of
+    Python ints, wrapping for int64, whose callers bound the entries first.
+    """
+    p = a.shape[0]
+    out = np.zeros_like(b)
+    for i in range(p):
+        for j in range(p - i):
+            out[i + j] += a[i] @ b[j]
+    return out
 
 
 class TruncMatrix:
-    """An n x n matrix over Z[s]/(s^N); all entries share one precision."""
+    """An n x n matrix over Z[s]/(s^N).
 
-    __slots__ = ("n", "precision", "rows")
+    Stored as ``stack``, the (N, n, n) array of its s^k coefficient
+    matrices.  The dtype is object and the entries are Python ints, so
+    every operation is exact at any size.
+    """
+
+    __slots__ = ("n", "precision", "stack")
 
     def __init__(self, precision: int, rows: Sequence[Sequence[TruncSeries]]):
         self.n = _square(rows)
@@ -403,21 +428,32 @@ class TruncMatrix:
             for e in row:
                 if e.precision != precision:
                     raise ValueError("entry precision mismatch")
-        self.rows = tuple(tuple(row) for row in rows)
+        self.stack = np.array([[e.coeffs() for e in row] for row in rows],
+                              dtype=object).transpose(2, 0, 1)
+
+    @staticmethod
+    def _of(stack: np.ndarray) -> "TruncMatrix":
+        """Wrap a (p, n, n) object stack without copying it."""
+        m = object.__new__(TruncMatrix)
+        m.precision, m.n, _ = stack.shape
+        m.stack = stack
+        return m
+
+    @property
+    def rows(self) -> tuple[tuple[TruncSeries, ...], ...]:
+        """The entries as series: a read-only view, built on each access."""
+        return tuple(tuple(TruncSeries(self.precision, e) for e in row)
+                     for row in self.stack.transpose(1, 2, 0).tolist())
 
     @staticmethod
     def identity(n: int, precision: int) -> "TruncMatrix":
-        one = TruncSeries.one(precision)
-        zero = TruncSeries.zero(precision)
-        return TruncMatrix(precision,
-                           [[one if i == j else zero for j in range(n)]
-                            for i in range(n)])
+        return TruncMatrix.from_int(IntMatrix.identity(n), precision)
 
     @staticmethod
     def from_int(m: IntMatrix, precision: int) -> "TruncMatrix":
-        return TruncMatrix(precision,
-                           [[TruncSeries(precision, [v]) for v in row]
-                            for row in m.rows])
+        stack = np.zeros((precision, m.n, m.n), dtype=object)
+        stack[0] = m.rows
+        return TruncMatrix._of(stack)
 
     def _check(self, other: "TruncMatrix") -> None:
         if self.n != other.n or self.precision != other.precision:
@@ -425,45 +461,30 @@ class TruncMatrix:
 
     def __add__(self, other: "TruncMatrix") -> "TruncMatrix":
         self._check(other)
-        return TruncMatrix(self.precision,
-                           [[a + b for a, b in zip(ra, rb)]
-                            for ra, rb in zip(self.rows, other.rows)])
+        return TruncMatrix._of(self.stack + other.stack)
 
     def __sub__(self, other: "TruncMatrix") -> "TruncMatrix":
         self._check(other)
-        return TruncMatrix(self.precision,
-                           [[a - b for a, b in zip(ra, rb)]
-                            for ra, rb in zip(self.rows, other.rows)])
+        return TruncMatrix._of(self.stack - other.stack)
 
     def __neg__(self) -> "TruncMatrix":
-        return TruncMatrix(self.precision,
-                           [[-a for a in row] for row in self.rows])
+        return TruncMatrix._of(-self.stack)
 
     def __mul__(self, other: "TruncMatrix") -> "TruncMatrix":
         self._check(other)
-        cols = list(zip(*other.rows))
-        zero = TruncSeries.zero(self.precision)
-        out = []
-        for row in self.rows:
-            new_row = []
-            for col in cols:
-                acc = zero
-                for a, b in zip(row, col):
-                    acc = acc + a * b
-                new_row.append(acc)
-            out.append(new_row)
-        return TruncMatrix(self.precision, out)
+        return TruncMatrix._of(trunc_mul(self.stack, other.stack))
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, TruncMatrix)
-                and self.precision == other.precision and self.rows == other.rows)
+                and self.precision == other.precision and self.n == other.n
+                and bool((self.stack == other.stack).all()))
 
     def __hash__(self) -> int:
-        return hash((self.precision, self.rows))
+        return hash((self.precision, tuple(self.stack.ravel().tolist())))
 
     def coefficient(self, k: int) -> IntMatrix:
         """The s^k coefficient matrix, 0 <= k < precision."""
-        return IntMatrix([[e.coeff(k) for e in row] for row in self.rows])
+        return IntMatrix(self.stack[k].tolist())
 
     def depth_bound(self) -> int:
         """Largest k <= N with A congruent to I mod s^k.
@@ -471,20 +492,10 @@ class TruncMatrix:
         A return of N means "at least N": the matrix is the identity to full
         precision and only the exact path can distinguish deeper agreement.
         """
-        n, prec = self.n, self.precision
-        best = prec
-        for i in range(n):
-            for j in range(n):
-                e = self.rows[i][j]
-                base = 1 if i == j else 0
-                for k in range(min(best, prec)):
-                    v = e.coeff(k) - (base if k == 0 else 0)
-                    if v:
-                        best = k
-                        break
-                if best == 0:
-                    return 0
-        return best
+        off = self.stack != 0
+        off[0] = self.stack[0] != np.eye(self.n, dtype=object)
+        ks = np.flatnonzero(off.any(axis=(1, 2)))
+        return int(ks[0]) if ks.size else self.precision
 
     def inverse(self) -> "TruncMatrix":
         """Inverse in the truncated ring via a Neumann series.
@@ -504,7 +515,7 @@ class TruncMatrix:
 
     def to_json(self) -> dict:
         return {"n": self.n, "precision": self.precision,
-                "entries": [[e.coeffs() for e in row] for row in self.rows]}
+                "entries": self.stack.transpose(1, 2, 0).tolist()}
 
     @staticmethod
     def from_json(obj: dict) -> "TruncMatrix":

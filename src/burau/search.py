@@ -10,12 +10,12 @@ index of L, then the index of R.  Structurally equal left and right halves
 are skipped (the commutator is trivial), as are trees nested deeper than
 the configured bound.
 
-Evaluation runs in the truncated ring.  The hot path packs coefficient
-matrices into arrays and multiplies whole leaf batches at once.  The arrays
-are int64 when an a-priori bound on every product's entries fits, and exact
-Python integers (object dtype) otherwise.  Every reported hit is rechecked
-through the exact integer path, plus an exact Laurent evaluation for short
-words.
+Evaluation runs in the truncated ring.  The hot path multiplies whole leaf
+batches of the terms' coefficient stacks at once with `linalg.trunc_mul`.
+The batches are int64 when an a-priori bound on every product's entries
+fits, and exact Python integers (object dtype) otherwise.  Every reported
+hit is rechecked through the exact integer path, plus an exact Laurent
+evaluation for short words.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .liealg import GradedElement
-from .linalg import IntMatrix, perm_matrix
+from .linalg import IntMatrix, TruncMatrix, perm_matrix, trunc_mul
 from .rep import burau_eval, burau_eval_trunc
 from .words import (BraidWord, all_perms, commutator, concat, letter_bound,
                     parse_word, word_format)
@@ -159,27 +159,6 @@ def _tree_word(tree: Tree, cfg: SearchConfig) -> BraidWord:
 
 
 # ---------------------------------------------------------------------------
-# truncated arithmetic on coefficient stacks: shape (precision, n, n), or
-# (precision, T, n, n) for a batch of T, precision first in both
-
-
-def _np_from_trunc(m) -> np.ndarray:
-    """The (p, n, n) stack of exact integer coefficients of m."""
-    rows = [[e.coeffs() for e in row] for row in m.rows]
-    return np.array(rows, dtype=object).transpose(2, 0, 1)
-
-
-def _np_mul_batch(prefix: np.ndarray, batch: np.ndarray) -> np.ndarray:
-    """prefix (p,n,n) times batch, one stack (p,n,n) or a batch (p,T,n,n)."""
-    p = prefix.shape[0]
-    out = np.zeros_like(batch)
-    for i in range(p):
-        for j in range(p - i):
-            out[i + j] += prefix[i] @ batch[j]
-    return out
-
-
-# ---------------------------------------------------------------------------
 # orbit-canonical deduplication
 
 
@@ -206,9 +185,10 @@ def search_deep(cfg: SearchConfig) -> SearchOutcome:
     terms = _terms_by_size(cfg)
     max_term_size = len(terms) - 1
     term_words = [[_tree_word(t, cfg) for t in level] for level in terms]
+    # term tables (p, T, n, n): the coefficient stacks of each size's terms
     term_arrays = [
-        np.stack([_np_from_trunc(burau_eval_trunc(w, precision))
-                  for w in level], axis=1) if level else None
+        np.stack([burau_eval_trunc(w, precision).stack for w in level], axis=1)
+        if level else None
         for level in term_words]
     # a product of at most m = max_terms stacks whose entries have size at
     # most c has entries, and partial sums, of size at most c^m (n p)^(m-1)
@@ -217,8 +197,7 @@ def search_deep(cfg: SearchConfig) -> SearchOutcome:
     dtype = np.int64 if bound < 1 << 62 else object
     term_arrays = [a if a is None else a.astype(dtype) for a in term_arrays]
 
-    ident = np.zeros((precision, n, n), dtype=dtype)
-    ident[0] = np.eye(n, dtype=dtype)
+    ident = TruncMatrix.identity(n, precision).stack.astype(dtype)
 
     counter = 0
     exhausted = False
@@ -257,14 +236,14 @@ def search_deep(cfg: SearchConfig) -> SearchOutcome:
                     exhausted = True
                 if limit > 0:
                     scan_batch(counter, prefix_trees,
-                               _np_mul_batch(prefix, term_arrays[size][:, :limit]),
+                               trunc_mul(prefix, term_arrays[size][:, :limit]),
                                size)
                     counter += limit
                 if exhausted:
                     return False
             elif slots > 1:
                 for idx, tree in enumerate(level):
-                    nxt = _np_mul_batch(prefix, term_arrays[size][:, idx])
+                    nxt = trunc_mul(prefix, term_arrays[size][:, idx])
                     if not emit(remaining - size, slots - 1,
                                 prefix_trees + (tree,), nxt):
                         return False

@@ -278,6 +278,13 @@ def test_search_needs_a_mode():
     assert error_kind(err) == "UsageError"
 
 
+def test_search_modes_exclude_each_other():
+    code, lines, err = run(["search", "--alpha", "--delta", "--budget", "5"])
+    assert code == 2
+    assert lines == []
+    assert error_kind(err) == "UsageError"
+
+
 # ---------------------------------------------------------------------------
 # verify-paper guards and argument plumbing
 
@@ -408,3 +415,59 @@ def test_matrix_file_without_entries_is_a_usage_error(tmp_path):
     code, _, err = run(["check", "--matrix", str(path)])
     assert code == 2
     assert error_kind(err) == "UsageError"
+
+
+# malformed JSON inputs: exit 2 with one JSON line naming the source and field
+
+
+def assert_usage_error(code, lines, err, *names):
+    assert code == 2
+    assert lines == []
+    error = json.loads(err)
+    assert error["kind"] == "UsageError"
+    for name in names:
+        assert name in error["error"]
+
+
+def test_graded_argument_without_matrix_is_a_usage_error():
+    assert_usage_error(*run(["bracket", "--a", '{"degree":1}',
+                             "--b", '{"degree":1}']), "--a", "matrix")
+
+
+def test_search_config_without_pool_is_a_usage_error(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 5}))
+    assert_usage_error(*run(["search", "--config", str(path)]),
+                       str(path), "pool")
+
+
+def test_library_without_degrees_is_a_usage_error(tmp_path):
+    path = tmp_path / "lib.json"
+    path.write_text(json.dumps({"n": 5}))
+    assert_usage_error(*run(["library-verify", "--library", str(path)]),
+                       str(path), "maxDegree")
+
+
+def test_approximate_library_without_degrees_is_a_usage_error(tmp_path):
+    gamma = tmp_path / "gamma.json"
+    gamma.write_text(json.dumps(burau_eval(parse_word("A13", N)).to_json()))
+    path = tmp_path / "lib.json"
+    path.write_text(json.dumps({"n": 5}))
+    assert_usage_error(*run(["approximate", "--gamma", str(gamma), "--k", "2",
+                             "--library", str(path)]), str(path), "maxDegree")
+
+
+def test_closed_stdout_exits_without_traceback():
+    src = os.path.dirname(os.path.dirname(burau.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "burau.cli", "--human", "verify-paper",
+         "--n", "5", "--max-degree", "3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=600) == 1
+    assert first.startswith("PASS generator-blocks")
+    assert err == ""

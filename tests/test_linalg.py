@@ -1,9 +1,10 @@
+import json
 import math
 import random
 
 import pytest
 
-from burau.laurent import LaurentPoly, T, T_INV
+from burau.laurent import LaurentPoly, T, T_INV, TruncSeries
 from burau.linalg import (IntLattice, IntMatrix, LaurentMatrix,
                           NonUnitDeterminant, TruncMatrix, matrix_lattice,
                           perm_matrix, row_hnf)
@@ -191,6 +192,51 @@ def test_trunc_json_round_trip():
     m = burau_eval_trunc(alpha_word(5), 4)
     again = TruncMatrix.from_json(m.to_json())
     assert again == m and again.precision == 4
+
+
+def _grid_product(a, b):
+    """a * b entry by entry over TruncSeries, the reference for the stacks."""
+    zero = TruncSeries.zero(a.precision)
+    return tuple(tuple(sum((ra[k] * b.rows[k][j] for k in range(a.n)), zero)
+                       for j in range(a.n))
+                 for ra in a.rows)
+
+
+def test_trunc_kernel_is_exact_far_above_int64():
+    rng = random.Random(208)
+    n, p = 5, 4
+
+    def big():
+        return rng.choice((1, -1)) * rng.getrandbits(100)
+
+    def rand_matrix(head):
+        return TruncMatrix(p, [[TruncSeries(p, [v] + [big() for _ in range(p - 1)])
+                                for v in row] for row in head.rows])
+
+    for _ in range(3):
+        images = list(range(1, n + 1))
+        rng.shuffle(images)
+        a = rand_matrix(perm_matrix(images))
+        rng.shuffle(images)
+        b = rand_matrix(perm_matrix(images))
+        ab = a * b
+        assert ab.rows == _grid_product(a, b)
+        assert max(abs(c) for row in ab.rows for e in row
+                   for c in e.coeffs()) > 1 << 190
+        ident = TruncMatrix.identity(n, p)
+        assert a * a.inverse() == ident and a.inverse() * a == ident
+        for k in range(p):
+            assert ab.coefficient(k) == IntMatrix(
+                [[e.coeffs()[k] for e in row] for row in ab.rows])
+        again = TruncMatrix.from_json(json.loads(json.dumps(ab.to_json())))
+        assert again == ab and again.rows == ab.rows
+        assert (ab + ab).depth_bound() == 0
+
+    for depth in range(1, p + 1):
+        deep = TruncMatrix(p, [[TruncSeries(p, [int(i == j)] + [0] * (depth - 1)
+                                            + [big() for _ in range(p - depth)])
+                                for j in range(n)] for i in range(n)])
+        assert deep.depth_bound() == depth
 
 
 def test_laurent_json_round_trip():
