@@ -513,9 +513,7 @@ def approximate(gamma: GammaElement | LaurentMatrix, max_degree: int | None = No
 
     run_exact = exact_check if exact_check is not None else max_degree <= 4
     if run_exact or node_count(word) <= 1:
-        diff = burau_eval(word) - matrix
-        exact_depth = min(diff[(i, j)].s_valuation()
-                          for i in range(n) for j in range(n))
+        exact_depth = (burau_eval(word) - matrix).s_valuation()
         if exact_depth == math.inf:
             achieved = math.inf
         elif exact_depth < max_degree + 1:

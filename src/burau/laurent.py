@@ -18,9 +18,26 @@ floating point.
 from __future__ import annotations
 
 import math
+import re
 from typing import Iterable, Mapping, Union
 
 Scalar = Union[int, "LaurentPoly"]
+
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def json_int(value, decimal_string: bool = False) -> int:
+    """An integer read from JSON: an int, never a bool or a float.
+
+    With ``decimal_string`` a string of decimal digits, as ``to_json``
+    writes Laurent coefficients, is read too.  Anything else is refused with
+    TypeError rather than rounded.
+    """
+    if type(value) is int:
+        return value
+    if decimal_string and isinstance(value, str) and _DECIMAL.fullmatch(value):
+        return int(value)
+    raise TypeError(f"expected an integer, got {value!r}")
 
 
 class LaurentPoly:
@@ -268,7 +285,8 @@ class LaurentPoly:
     @staticmethod
     def from_json(obj: dict) -> "LaurentPoly":
         table = obj["t"]
-        return LaurentPoly({int(e): int(v) for e, v in table.items()})
+        return LaurentPoly({json_int(e, True): json_int(v, True)
+                            for e, v in table.items()})
 
 
 ZERO = LaurentPoly(0)

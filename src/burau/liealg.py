@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from .laurent import json_int
 from .linalg import IntLattice, IntMatrix, perm_matrix
 from .words import Perm, all_perms
 
@@ -73,11 +74,12 @@ class GradedElement:
         return hash((self.degree, self.matrix))
 
     def to_json(self) -> dict:
-        return {"degree": self.degree, "matrix": [list(r) for r in self.matrix.rows]}
+        return {"degree": self.degree, "matrix": self.matrix.to_json()}
 
     @staticmethod
     def from_json(data: dict) -> "GradedElement":
-        return GradedElement(int(data["degree"]), IntMatrix(data["matrix"]))
+        return GradedElement(json_int(data["degree"]),
+                             IntMatrix.from_json(data["matrix"]))
 
     def __repr__(self) -> str:
         return f"GradedElement(degree={self.degree}, n={self.n})"

@@ -1,5 +1,9 @@
-"""Square matrices over Z[t,t^-1], over Z[s]/(s^N), and over Z, plus integer
-lattice solving by Hermite normal form.
+"""Square matrices over Z[t,t^-1], over Z[s]/(s^N), over Z and over Q, plus
+integer lattice solving by Hermite normal form.
+
+:class:`SquareMatrix` is the one dense exact layer: its subclasses
+:class:`IntMatrix`, :class:`RatMatrix` and :class:`LaurentMatrix` name only
+their entry ring and add what is specific to it.
 
 The exact path (:class:`LaurentMatrix`) is used for membership checks,
 determinants and depth; the truncated path (:class:`TruncMatrix`) for long
@@ -18,11 +22,13 @@ Integer matrices double as s-adic coefficients and as vectors in Z^(n^2)
 from __future__ import annotations
 
 import math
+import operator
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .laurent import ONE, ZERO, LaurentPoly, TruncSeries
+from .laurent import ONE, ZERO, LaurentPoly, TruncSeries, json_int
 
 
 class NonUnitDeterminant(Exception):
@@ -38,90 +44,169 @@ def _square(rows: Sequence[Sequence]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# integer matrices
+# square matrices over one ring
 
 
-class IntMatrix:
-    """An n x n matrix of arbitrary-precision integers."""
+class SquareMatrix:
+    """An n x n matrix over a commutative ring, stored as a tuple of rows.
+
+    A subclass names its entry ring and holds only what is specific to it:
+    ``_entry`` coerces one entry into the ring (refusing what is not in it),
+    and ``_zero`` and ``_one`` are the ring's constants.  Each subclass binds
+    its own product as ``__mul__``: the Laurent product skips zero entries,
+    and the benchmark tracer (``perfbench/tracer.py``) wraps each class's
+    product where that class defines it.
+    """
 
     __slots__ = ("n", "rows")
 
-    def __init__(self, rows: Sequence[Sequence[int]]):
+    def __init__(self, rows: Sequence[Sequence]):
         self.n = _square(rows)
-        self.rows = tuple(tuple(int(v) for v in row) for row in rows)
+        entry = self._entry
+        self.rows = tuple(tuple(map(entry, row)) for row in rows)
 
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+    @classmethod
+    def identity(cls, n: int):
+        one, zero = cls._one, cls._zero
+        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
 
-    @staticmethod
-    def zero(n: int) -> "IntMatrix":
-        return IntMatrix([[0] * n for _ in range(n)])
+    @classmethod
+    def zero(cls, n: int):
+        return cls([[cls._zero] * n for _ in range(n)])
 
-    @staticmethod
-    def ones(n: int) -> "IntMatrix":
-        """The all-ones matrix."""
-        return IntMatrix([[1] * n for _ in range(n)])
-
-    def __getitem__(self, ij: tuple[int, int]) -> int:
+    def __getitem__(self, ij: tuple[int, int]):
         i, j = ij
         return self.rows[i][j]
 
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        self._check(other)
-        return IntMatrix([[a + b for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.rows, other.rows)])
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        self._check(other)
-        return IntMatrix([[a - b for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.rows, other.rows)])
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-a for a in row] for row in self.rows])
-
-    def __mul__(self, other: "IntMatrix | int") -> "IntMatrix":
-        if isinstance(other, int):
-            return IntMatrix([[a * other for a in row] for row in self.rows])
-        self._check(other)
-        n = self.n
-        cols = list(zip(*other.rows))
-        return IntMatrix([[sum(a * b for a, b in zip(row, col)) for col in cols]
-                          for row in self.rows])
-
-    def __rmul__(self, other: int) -> "IntMatrix":
-        return self.__mul__(other)
-
-    def _check(self, other: "IntMatrix") -> None:
+    def _check(self, other: "SquareMatrix") -> None:
         if self.n != other.n:
             raise ValueError("dimension mismatch")
 
+    def __add__(self, other):
+        self._check(other)
+        return type(self)([[a + b for a, b in zip(ra, rb)]
+                           for ra, rb in zip(self.rows, other.rows)])
+
+    def __sub__(self, other):
+        self._check(other)
+        return type(self)([[a - b for a, b in zip(ra, rb)]
+                           for ra, rb in zip(self.rows, other.rows)])
+
+    def __neg__(self):
+        return type(self)([[-a for a in row] for row in self.rows])
+
+    def _product(self, other):
+        """The matrix product, or the product with a scalar of the ring."""
+        if not isinstance(other, SquareMatrix):
+            return type(self)([[a * other for a in row] for row in self.rows])
+        self._check(other)
+        zero = self._zero
+        cols = list(zip(*other.rows))
+        return type(self)([[sum((a * b for a, b in zip(row, col)), zero)
+                            for col in cols] for row in self.rows])
+
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, IntMatrix) and self.rows == other.rows
+        return isinstance(other, type(self)) and self.rows == other.rows
 
     def __hash__(self) -> int:
         return hash(self.rows)
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(list(zip(*self.rows)))
+    def transpose(self):
+        return type(self)(list(zip(*self.rows)))
+
+    def is_zero(self) -> bool:
+        zero = self._zero
+        return all(v == zero for row in self.rows for v in row)
+
+    def mul_vec(self, vec: Sequence) -> tuple:
+        zero = self._zero
+        return tuple(sum((a * x for a, x in zip(row, vec)), zero)
+                     for row in self.rows)
+
+    def vec_mul(self, vec: Sequence) -> tuple:
+        zero = self._zero
+        return tuple(sum((x * a for x, a in zip(vec, col)), zero)
+                     for col in zip(*self.rows))
+
+    def commutator(self, other):
+        return self * other - other * self
+
+    @classmethod
+    def _det_minors(cls, rows):
+        """Determinant via first-row Laplace expansion, memoized on column sets.
+
+        The submatrices that appear always consist of the last len(cols) rows,
+        so the column tuple alone is a sound memo key.  Cost O(2^n * n) ring
+        multiplications: fine for the n <= 8 range this package targets.
+        """
+        n = len(rows)
+        zero, one = cls._zero, cls._one
+        memo: dict[tuple[int, ...], object] = {}
+
+        def go(cols: tuple[int, ...]) -> object:
+            if not cols:
+                return one
+            got = memo.get(cols)
+            if got is not None:
+                return got
+            row = rows[n - len(cols)]
+            total = zero
+            for pos, c in enumerate(cols):
+                entry = row[c]
+                if entry == zero:
+                    continue
+                sub = go(cols[:pos] + cols[pos + 1:])
+                term = entry * sub
+                total = total - term if pos % 2 else total + term
+            memo[cols] = total
+            return total
+
+        return go(tuple(range(n)))
+
+    def det(self):
+        return self._det_minors(self.rows)
+
+    def _adjugate(self) -> list[list]:
+        """adj[i][j] = (-1)^(i+j) det(minor with row j, col i removed)."""
+        n, rows = self.n, self.rows
+        out = [[self._zero] * n for _ in range(n)]
+        for j in range(n):
+            reduced = [row for r, row in enumerate(rows) if r != j]
+            for i in range(n):
+                d = self._det_minors([[row[c] for c in range(n) if c != i]
+                                      for row in reduced])
+                out[i][j] = -d if (i + j) % 2 else d
+        return out
+
+
+def _bracketed(cells: Sequence[Sequence[str]]) -> str:
+    """Rows of entry texts as bracketed lines, right-aligned to one width."""
+    width = max(len(c) for row in cells for c in row)
+    return "\n".join("[" + "  ".join(c.rjust(width) for c in row) + "]"
+                     for row in cells)
+
+
+# ---------------------------------------------------------------------------
+# integer and rational matrices
+
+
+class IntMatrix(SquareMatrix):
+    """An n x n matrix of arbitrary-precision integers.
+
+    Entries are coerced with ``operator.index``: a float or a ``Fraction``
+    is refused with TypeError, never rounded.
+    """
+
+    __slots__ = ()
+    _entry = staticmethod(operator.index)
+    _zero, _one = 0, 1
+    __mul__ = __rmul__ = SquareMatrix._product
 
     def trace(self) -> int:
         return sum(self.rows[i][i] for i in range(self.n))
 
-    def is_zero(self) -> bool:
-        return all(not v for row in self.rows for v in row)
-
     def row_sums(self) -> tuple[int, ...]:
         return tuple(sum(row) for row in self.rows)
-
-    def mul_vec(self, vec: Sequence[int]) -> tuple[int, ...]:
-        return tuple(sum(a * x for a, x in zip(row, vec)) for row in self.rows)
-
-    def vec_mul(self, vec: Sequence[int]) -> tuple[int, ...]:
-        return tuple(sum(x * a for x, a in zip(vec, col)) for col in zip(*self.rows))
-
-    def commutator(self, other: "IntMatrix") -> "IntMatrix":
-        return self * other - other * self
 
     def is_permutation(self) -> bool:
         seen = set()
@@ -136,33 +221,24 @@ class IntMatrix:
         """1-based images i -> pi(i), assuming is_permutation()."""
         return tuple(row.index(1) + 1 for row in self.rows)
 
-    def det(self) -> int:
-        return _det_minors(self.rows, 0, 1)
-
     def inverse(self) -> "IntMatrix":
         """Inverse of a matrix with determinant +-1."""
         d = self.det()
         if d not in (1, -1):
             raise NonUnitDeterminant(f"integer determinant {d} is not +-1")
-        adj = _adjugate(self.rows, 0, 1)
-        return IntMatrix([[v * d for v in row] for row in adj])
+        return IntMatrix([[v * d for v in row] for row in self._adjugate()])
 
     def vec(self) -> tuple[int, ...]:
         """Row-major vectorization into Z^(n^2)."""
         return tuple(v for row in self.rows for v in row)
-
-    @staticmethod
-    def from_vec(n: int, vec: Sequence[int]) -> "IntMatrix":
-        if len(vec) != n * n:
-            raise ValueError("vector length must be n^2")
-        return IntMatrix([vec[i * n:(i + 1) * n] for i in range(n)])
 
     def to_json(self) -> list[list[int]]:
         return [list(row) for row in self.rows]
 
     @staticmethod
     def from_json(obj: Sequence[Sequence[int]]) -> "IntMatrix":
-        return IntMatrix(obj)
+        """Rows of JSON integers; a bool, float or string entry is refused."""
+        return IntMatrix([[json_int(v) for v in row] for row in obj])
 
     def __str__(self) -> str:
         width = max((len(str(v)) for row in self.rows for v in row), default=1)
@@ -171,6 +247,27 @@ class IntMatrix:
 
     def __repr__(self) -> str:
         return f"IntMatrix({[list(r) for r in self.rows]!r})"
+
+
+class RatMatrix(SquareMatrix):
+    """An n x n matrix over Q, with ``Fraction`` entries.
+
+    Integer entries are taken exactly; a float is refused with TypeError.
+    """
+
+    __slots__ = ()
+    _zero, _one = Fraction(0), Fraction(1)
+    __mul__ = __rmul__ = SquareMatrix._product
+
+    @staticmethod
+    def _entry(v) -> Fraction:
+        return v if isinstance(v, Fraction) else Fraction(operator.index(v))
+
+    def to_int(self) -> IntMatrix:
+        """The same matrix over Z; ValueError if an entry is not an integer."""
+        if any(v.denominator != 1 for row in self.rows for v in row):
+            raise ValueError("matrix has non-integral entries")
+        return IntMatrix([[v.numerator for v in row] for row in self.rows])
 
 
 def perm_matrix(pi) -> IntMatrix:
@@ -191,101 +288,26 @@ def perm_matrix(pi) -> IntMatrix:
 
 
 # ---------------------------------------------------------------------------
-# determinants by minor expansion, generic over the scalar ring
-
-
-def _det_minors(rows, zero, one):
-    """Determinant via first-row Laplace expansion, memoized on column sets.
-
-    The submatrices that appear always consist of the last len(cols) rows,
-    so the column tuple alone is a sound memo key.  Cost O(2^n * n) ring
-    multiplications: fine for the n <= 8 range this package targets.
-    """
-    n = len(rows)
-    memo: dict[tuple[int, ...], object] = {}
-
-    def go(cols: tuple[int, ...]) -> object:
-        if not cols:
-            return one
-        got = memo.get(cols)
-        if got is not None:
-            return got
-        row = rows[n - len(cols)]
-        total = zero
-        for pos, c in enumerate(cols):
-            entry = row[c]
-            if entry == zero:
-                continue
-            sub = go(cols[:pos] + cols[pos + 1:])
-            term = entry * sub
-            total = total - term if pos % 2 else total + term
-        memo[cols] = total
-        return total
-
-    return go(tuple(range(n)))
-
-
-def _adjugate(rows, zero, one):
-    """Adjugate matrix: adj[i][j] = (-1)^(i+j) det(minor with row j, col i removed)."""
-    n = len(rows)
-    out = [[zero] * n for _ in range(n)]
-    for j in range(n):
-        reduced = [row for r, row in enumerate(rows) if r != j]
-        for i in range(n):
-            minor = [[row[c] for c in range(n) if c != i] for row in reduced]
-            d = _det_minors(minor, zero, one) if minor else one
-            out[i][j] = -d if (i + j) % 2 else d
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Laurent matrices
 
 
-class LaurentMatrix:
+class LaurentMatrix(SquareMatrix):
     """An n x n matrix over Z[t, t^-1]."""
 
-    __slots__ = ("n", "rows")
-
-    def __init__(self, rows: Sequence[Sequence[LaurentPoly]]):
-        self.n = _square(rows)
-        self.rows = tuple(
-            tuple(e if isinstance(e, LaurentPoly) else LaurentPoly(e) for e in row)
-            for row in rows)
+    __slots__ = ()
+    _zero, _one = ZERO, ONE
 
     @staticmethod
-    def identity(n: int) -> "LaurentMatrix":
-        return LaurentMatrix([[ONE if i == j else ZERO for j in range(n)]
-                              for i in range(n)])
+    def _entry(e) -> LaurentPoly:
+        return e if isinstance(e, LaurentPoly) else LaurentPoly(e)
 
     @staticmethod
     def from_int(m: IntMatrix) -> "LaurentMatrix":
-        return LaurentMatrix([[LaurentPoly(v) for v in row] for row in m.rows])
-
-    def __getitem__(self, ij: tuple[int, int]) -> LaurentPoly:
-        i, j = ij
-        return self.rows[i][j]
-
-    def _check(self, other: "LaurentMatrix") -> None:
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-
-    def __add__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        self._check(other)
-        return LaurentMatrix([[a + b for a, b in zip(ra, rb)]
-                              for ra, rb in zip(self.rows, other.rows)])
-
-    def __sub__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        self._check(other)
-        return LaurentMatrix([[a - b for a, b in zip(ra, rb)]
-                              for ra, rb in zip(self.rows, other.rows)])
-
-    def __neg__(self) -> "LaurentMatrix":
-        return LaurentMatrix([[-a for a in row] for row in self.rows])
+        return LaurentMatrix(m.rows)
 
     def __mul__(self, other: "LaurentMatrix | LaurentPoly | int") -> "LaurentMatrix":
-        if isinstance(other, (LaurentPoly, int)):
-            return LaurentMatrix([[a * other for a in row] for row in self.rows])
+        if not isinstance(other, LaurentMatrix):
+            return self._product(other)
         self._check(other)
         cols = list(zip(*other.rows))
         out = []
@@ -300,30 +322,12 @@ class LaurentMatrix:
             out.append(new_row)
         return LaurentMatrix(out)
 
-    def __rmul__(self, other: "LaurentPoly | int") -> "LaurentMatrix":
-        return self.__mul__(other)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, LaurentMatrix) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
-    def transpose(self) -> "LaurentMatrix":
-        return LaurentMatrix(list(zip(*self.rows)))
+    __rmul__ = __mul__
 
     def star(self) -> "LaurentMatrix":
         """The involution (A*)_ij = bar(A_ji)."""
         return LaurentMatrix([[self.rows[j][i].bar() for j in range(self.n)]
                               for i in range(self.n)])
-
-    def mul_vec(self, vec: Sequence[LaurentPoly]) -> tuple[LaurentPoly, ...]:
-        return tuple(sum((a * x for a, x in zip(row, vec)), ZERO)
-                     for row in self.rows)
-
-    def vec_mul(self, vec: Sequence[LaurentPoly]) -> tuple[LaurentPoly, ...]:
-        return tuple(sum((x * a for x, a in zip(vec, col)), ZERO)
-                     for col in zip(*self.rows))
 
     def at_one(self) -> IntMatrix:
         """Reduction modulo s = t - 1, i.e. entrywise evaluation at t = 1."""
@@ -342,32 +346,26 @@ class LaurentMatrix:
                            [[e.to_series(precision) for e in row]
                             for row in self.rows])
 
-    def depth(self) -> int | float:
-        """Largest k with A congruent to I modulo s^k; inf exactly for A = I.
+    def s_valuation(self) -> int | float:
+        """Largest k with s^k dividing every entry; inf exactly for 0.
 
         Computed by exact repeated division by (t - 1), not by truncation,
         so there is no precision cap.
         """
-        best: int | float = math.inf
-        ident = LaurentMatrix.identity(self.n)
-        for row, irow in zip(self.rows, ident.rows):
-            for e, ie in zip(row, irow):
-                diff = e - ie
-                if not diff.is_zero():
-                    best = min(best, diff.s_valuation())
-        return best
+        return min((e.s_valuation() for row in self.rows for e in row),
+                   default=math.inf)
 
-    def det(self) -> LaurentPoly:
-        return _det_minors(self.rows, ZERO, ONE)
+    def depth(self) -> int | float:
+        """Largest k with A congruent to I modulo s^k; inf exactly for A = I."""
+        return (self - LaurentMatrix.identity(self.n)).s_valuation()
 
     def inverse(self) -> "LaurentMatrix":
         """Adjugate inverse; requires a unit determinant +-t^a."""
         d = self.det()
         if d.as_unit() is None:
             raise NonUnitDeterminant(f"determinant {d} is not a unit of Z[t,t^-1]")
-        adj = _adjugate(self.rows, ZERO, ONE)
         dinv = d.inverse()
-        return LaurentMatrix([[e * dinv for e in row] for row in adj])
+        return LaurentMatrix([[e * dinv for e in row] for row in self._adjugate()])
 
     def to_json(self) -> dict:
         return {"n": self.n,
@@ -377,15 +375,12 @@ class LaurentMatrix:
     def from_json(obj: dict) -> "LaurentMatrix":
         rows = [[LaurentPoly.from_json(e) for e in row] for row in obj["entries"]]
         m = LaurentMatrix(rows)
-        if m.n != obj["n"]:
+        if m.n != json_int(obj["n"]):
             raise ValueError("declared dimension does not match entries")
         return m
 
     def __str__(self) -> str:
-        cells = [[str(e) for e in row] for row in self.rows]
-        width = max(len(c) for row in cells for c in row)
-        return "\n".join("[" + "  ".join(c.rjust(width) for c in row) + "]"
-                         for row in cells)
+        return _bracketed([[str(e) for e in row] for row in self.rows])
 
     def __repr__(self) -> str:
         return f"LaurentMatrix(n={self.n})"
@@ -525,6 +520,9 @@ class TruncMatrix:
         if m.n != obj["n"]:
             raise ValueError("declared dimension does not match entries")
         return m
+
+    def __str__(self) -> str:
+        return _bracketed([[str(e) for e in row] for row in self.rows])
 
     def __repr__(self) -> str:
         return f"TruncMatrix(n={self.n}, precision={self.precision})"

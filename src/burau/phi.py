@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .liealg import GradedElement, bracket_lattice, gen_x
-from .linalg import IntLattice, IntMatrix
+from .linalg import IntLattice, IntMatrix, RatMatrix
 from .rep import burau_eval_trunc, form_j
 from .words import BraidWord, commutator, concat, pure_gen
 
@@ -53,38 +53,6 @@ class DepthViolation(ValueError):
 
 class HalfIntegralityViolation(ValueError):
     """An entry that must lie in (1/2) Z does not."""
-
-
-# ---------------------------------------------------------------------------
-# small exact-rational matrix helpers (module-internal)
-
-FracRows = list[list[Fraction]]
-
-
-def _fr(m: IntMatrix) -> FracRows:
-    return [[Fraction(v) for v in row] for row in m.rows]
-
-
-def _fadd(*ms: FracRows) -> FracRows:
-    n = len(ms[0])
-    return [[sum(m[i][j] for m in ms) for j in range(n)] for i in range(n)]
-
-
-def _fneg(m: FracRows) -> FracRows:
-    return [[-v for v in row] for row in m]
-
-
-def _fbracket(a: FracRows, b: FracRows) -> FracRows:
-    n = len(a)
-    ab = [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    ba = [[sum(b[i][k] * a[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    return [[ab[i][j] - ba[i][j] for j in range(n)] for i in range(n)]
-
-
-def _to_int(m: FracRows, what: str) -> IntMatrix:
-    if any(v.denominator != 1 for row in m for v in row):
-        raise HalfIntegralityViolation(f"{what} has non-integral entries")
-    return IntMatrix([[int(v) for v in row] for row in m])
 
 
 # ---------------------------------------------------------------------------
@@ -227,25 +195,23 @@ def coset_modulus(n: int, half_degree: int) -> IntLattice:
 # unitarity reconstruction
 
 
-def reconstruct_plus(w: GradedElement, k: int) -> FracRows:
-    """The symmetric part of (omega)_2k for ANY witness omega of w.
+def reconstruct_plus(w: GradedElement, k: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The symmetric part of (omega)_2k for ANY witness omega of w, by rows.
 
     Equal to -1/4 (<(J)_1, w> + (4k-2) w); entries lie in (1/2) Z.
     """
     if w.degree % 2 != 1:
         raise ValueError("w must have odd degree")
-    n = w.n
-    j1 = form_j(n).s_expand(2)[1]
-    br = j1.commutator(w.matrix)
-    out = [[Fraction(-(br[(i, j)] + (4 * k - 2) * w.matrix[(i, j)]), 4)
-            for j in range(n)] for i in range(n)]
-    if any(v.denominator > 2 for row in out for v in row):
+    j1 = form_j(w.n).s_expand(2)[1]
+    m = j1.commutator(w.matrix) + w.matrix * (4 * k - 2)
+    out = RatMatrix(m.rows) * Fraction(-1, 4)
+    if any(v.denominator > 2 for row in out.rows for v in row):
         raise HalfIntegralityViolation("reconstructed symmetric part has "
                                        "denominator > 2")
-    return out
+    return out.rows
 
 
-def _banded_skew(colsums: Sequence[Fraction]) -> FracRows:
+def _banded_skew(colsums: Sequence[Fraction]) -> RatMatrix:
     """The skew matrix supported on the off-diagonal band whose column sums
     are the given vector (which must sum to zero)."""
     n = len(colsums)
@@ -256,15 +222,15 @@ def _banded_skew(colsums: Sequence[Fraction]) -> FracRows:
         partial.append(acc)
     if acc != 0:
         raise ValueError("column sums must total zero")
-    out = [[Fraction(0)] * n for _ in range(n)]
+    out = [[0] * n for _ in range(n)]
     for j in range(n - 1):
         out[j + 1][j] = partial[j]
         out[j][j + 1] = -partial[j]
-    return out
+    return RatMatrix(out)
 
 
-def w_prime(w: GradedElement, k: int) -> FracRows:
-    """A banded skew stand-in for the skew part of (omega)_2k.
+def w_prime(w: GradedElement, k: int) -> tuple[tuple[Fraction, ...], ...]:
+    """A banded skew stand-in for the skew part of (omega)_2k, by rows.
 
     Its column sums match those of the true skew part (which are forced by
     unitarity); entries are half-integers, genuinely so for some w, e.g.
@@ -275,10 +241,10 @@ def w_prime(w: GradedElement, k: int) -> FracRows:
     u = [-sum(plus[i][j] for i in range(n)) for j in range(n)]
     if sum(u) != 0:
         raise HalfIntegralityViolation("column-sum vector does not total zero")
-    return _banded_skew(u)
+    return _banded_skew(u).rows
 
 
-def _fractional_class_rep(w: GradedElement, k: int) -> FracRows:
+def _fractional_class_rep(w: GradedElement, k: int) -> RatMatrix:
     """Canonical skew, zero-row-sum matrix in the fractional class of
     (the skew part of (omega)_2k) - w_prime(w, k).
 
@@ -290,17 +256,17 @@ def _fractional_class_rep(w: GradedElement, k: int) -> FracRows:
     n = w.n
     plus = reconstruct_plus(w, k)
     wp = w_prime(w, k)
-    f = [[Fraction(0)] * n for _ in range(n)]
+    f = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             if (plus[i][j] - wp[i][j]).denominator == 2:
                 f[i][j] = Fraction(1, 2)
                 f[j][i] = Fraction(-1, 2)
-    rows = [sum(f[i][j] for j in range(n)) for i in range(n)]
+    rows = [sum(row) for row in f]
     if any(r.denominator != 1 for r in rows):
         raise HalfIntegralityViolation("fractional class has no zero-row-sum "
                                        "representative")
-    return _fadd(f, _fneg(_banded_skew([-r for r in rows])))
+    return RatMatrix(f) - _banded_skew([-r for r in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +274,13 @@ def _fractional_class_rep(w: GradedElement, k: int) -> FracRows:
 
 
 def _expansion_term(n: int, pair: tuple[int, int], w: IntMatrix,
-                    omega_2k: IntMatrix, k: int) -> IntMatrix:
-    """One summand of the expansion path, as an exact integer matrix."""
-    x = gen_x(*pair, n).matrix
-    a2 = burau_eval_trunc(pure_gen(n, *pair), 3).coefficient(2)
+                    omega_2k: IntMatrix | RatMatrix,
+                    k: int) -> IntMatrix | RatMatrix:
+    """One summand of the expansion path, exact in the ring of omega_2k."""
+    ring = type(omega_2k)
+    x = ring(gen_x(*pair, n).matrix.rows)
+    a2 = ring(burau_eval_trunc(pure_gen(n, *pair), 3).coefficient(2).rows)
+    w = ring(w.rows)
     return x.commutator(omega_2k) + a2.commutator(w) + w.commutator(x) * x
 
 
@@ -378,20 +347,14 @@ def phi_from_w(a: KernelElement, target_degree: int | None = None,
         if target_degree != a.degree + 2:
             a = a.relabel(target_degree - 2)
     n, k = a.n, a.half_degree
-    total: FracRows = [[Fraction(0)] * n for _ in range(n)]
+    total = RatMatrix.zero(n)
     for t in a.terms:
-        x = _fr(gen_x(*t.pair, n).matrix)
-        skew = _fadd(w_prime(t.w, k), _fractional_class_rep(t.w, k))
-        a2 = _fr(burau_eval_trunc(pure_gen(n, *t.pair), 3).coefficient(2))
-        wm = _fr(t.w.matrix)
-        t1 = _fbracket(x, skew)
-        t2 = _fbracket(a2, wm)
-        t3_b = _fbracket(wm, x)
-        t3 = [[sum(t3_b[i][p] * x[p][j] for p in range(n)) for j in range(n)]
-              for i in range(n)]
-        total = _fadd(total, t1, t2, t3)
-    sym = [[Fraction(total[i][j] + total[j][i], 2) for j in range(n)]
-           for i in range(n)]
-    rep = _to_int(sym, "phi value")
+        skew = RatMatrix(w_prime(t.w, k)) + _fractional_class_rep(t.w, k)
+        total = total + _expansion_term(n, t.pair, t.w.matrix, skew, k)
+    try:
+        rep = ((total + total.transpose()) * Fraction(1, 2)).to_int()
+    except ValueError as exc:
+        raise HalfIntegralityViolation("phi value has non-integral "
+                                       "entries") from exc
     mod = modulus if modulus is not None else coset_modulus(n, k)
     return CosetElement(GradedElement(2 * k + 1, rep), mod)

@@ -87,6 +87,16 @@ def test_eval_human_output():
     assert code2 == 0 and text2 == text
 
 
+def test_eval_truncated_human_output():
+    code, text = run_human(["--human", "eval", "--n", "3", "--word", "s1",
+                            "--truncate", "3"])
+    assert code == 0
+    assert text.splitlines() == [
+        "[   -s + O(s^3)      1 + O(s^3)      0 + O(s^3)]",
+        "[1 + s + O(s^3)      0 + O(s^3)      0 + O(s^3)]",
+        "[    0 + O(s^3)      0 + O(s^3)      1 + O(s^3)]"]
+
+
 def test_check_pass_and_fail(tmp_path):
     code, lines, _ = run(["check", "--word", "A13 s2 s3^-1"])
     assert code == 0
@@ -432,6 +442,26 @@ def assert_usage_error(code, lines, err, *names):
 def test_graded_argument_without_matrix_is_a_usage_error():
     assert_usage_error(*run(["bracket", "--a", '{"degree":1}',
                              "--b", '{"degree":1}']), "--a", "matrix")
+
+
+def test_matrix_file_with_non_integer_entry_is_a_usage_error(tmp_path):
+    for bad in (1.6, True):
+        data = LaurentMatrix.identity(3).to_json()
+        data["entries"][0][0] = {"t": {"0": bad}}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(data))
+        for command in ("check", "depth"):
+            assert_usage_error(*run([command, "--matrix", str(path)]),
+                               str(path), "integer")
+
+
+def test_graded_argument_with_non_integer_is_a_usage_error():
+    b = '{"degree":1,"matrix":[[0,0,0],[0,1,-1],[0,-1,1]]}'
+    for a in ('{"degree":1,"matrix":[[1.7,-1,0],[-1,1,0],[0,0,0]]}',
+              '{"degree":1,"matrix":[[true,-1,0],[-1,true,0],[0,0,0]]}',
+              '{"degree":1.9,"matrix":[[1,-1,0],[-1,1,0],[0,0,0]]}'):
+        assert_usage_error(*run(["bracket", "--a", a, "--b", b]),
+                           "--a", "integer")
 
 
 def test_search_config_without_pool_is_a_usage_error(tmp_path):

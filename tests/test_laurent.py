@@ -102,6 +102,16 @@ def test_json_round_trip():
     assert LaurentPoly.from_json(data) == p
 
 
+def test_json_coefficients_are_integers_or_decimal_strings():
+    assert LaurentPoly.from_json({"t": {"2": 3, "-1": "-4"}}) == \
+        LaurentPoly({2: 3, -1: -4})
+    for bad in (1.6, 2.0, True, "1.5", "", None):
+        with pytest.raises(TypeError):
+            LaurentPoly.from_json({"t": {"0": bad}})
+    with pytest.raises(TypeError):
+        LaurentPoly.from_json({"t": {"0.5": 1}})
+
+
 class TestTruncSeries:
     def test_constructors(self):
         assert TruncSeries.zero(3).coeffs() == [0, 0, 0]

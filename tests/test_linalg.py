@@ -2,12 +2,14 @@ import json
 import math
 import random
 
+from fractions import Fraction
+
 import pytest
 
-from burau.laurent import LaurentPoly, T, T_INV, TruncSeries
+from burau.laurent import S, LaurentPoly, T, T_INV, TruncSeries
 from burau.linalg import (IntLattice, IntMatrix, LaurentMatrix,
-                          NonUnitDeterminant, TruncMatrix, matrix_lattice,
-                          perm_matrix, row_hnf)
+                          NonUnitDeterminant, RatMatrix, TruncMatrix,
+                          matrix_lattice, perm_matrix, row_hnf)
 from burau.liealg import g_basis, gen_x, gen_y
 from burau.rep import burau_eval, burau_eval_trunc, burau_gen, form_j
 from burau.words import Perm, alpha_word, concat, gen, pure_gen
@@ -80,7 +82,7 @@ def test_non_unit_determinant():
 def test_s_expand_of_j():
     n = 4
     coeffs = form_j(n).s_expand(2)
-    assert coeffs[0] == 2 * IntMatrix.identity(n) - IntMatrix.ones(n)
+    assert coeffs[0] == 2 * IntMatrix.identity(n) - IntMatrix([[1] * n] * n)
     expect1 = IntMatrix([[0 if i == j else (1 if j > i else -1)
                           for j in range(n)] for i in range(n)])
     assert coeffs[1] == expect1
@@ -158,6 +160,54 @@ def test_depth_cases():
     assert LaurentMatrix.identity(4).depth() == math.inf
     assert burau_eval(pure_gen(3, 1, 2)).depth() == 1
     assert burau_eval(alpha_word(5)).depth() == 3
+
+
+def test_s_valuation_of_a_matrix_is_its_least_entry_valuation():
+    assert LaurentMatrix.zero(3).s_valuation() == math.inf
+    m = LaurentMatrix([[S ** 3, 0], [S ** 2 * T_INV, S ** 5]])
+    assert m.s_valuation() == 2
+    assert (LaurentMatrix.identity(2) + m).depth() == 2
+
+
+# ---------------------------------------------------------------------------
+# IntMatrix and RatMatrix
+
+
+def test_int_matrix_refuses_non_integer_entries():
+    for bad in (1.5, 2.0, Fraction(2), "3"):
+        with pytest.raises(TypeError):
+            IntMatrix([[bad]])
+    with pytest.raises(TypeError):
+        IntMatrix.from_json([[True]])
+    assert IntMatrix.from_json([[1, -2], [3, 4]]).rows == ((1, -2), (3, 4))
+
+
+def test_rat_matrix_shares_the_ring_generic_operations():
+    a = RatMatrix([[Fraction(1, 2), 1, 0], [0, 2, Fraction(-1, 3)], [1, 0, 1]])
+    b = RatMatrix([[1, 0, 1], [Fraction(1, 4), 1, 0], [0, 0, 3]])
+    assert a.det() == Fraction(2, 3)
+    adj = RatMatrix(a._adjugate())
+    assert a * adj == RatMatrix.identity(3) * a.det()
+    assert a.commutator(b) == a * b - b * a
+    assert a.commutator(b).transpose() == b.transpose().commutator(a.transpose())
+    assert a.mul_vec((1, 1, 1)) == (Fraction(3, 2), Fraction(5, 3), 2)
+    assert a.vec_mul((1, 1, 1)) == (Fraction(3, 2), 3, Fraction(2, 3))
+    ints = IntMatrix([[1, -2], [3, 4]])
+    assert RatMatrix(ints.rows).to_int() == ints
+    with pytest.raises(ValueError):
+        (RatMatrix(ints.rows) * Fraction(1, 2)).to_int()
+    with pytest.raises(TypeError):
+        RatMatrix([[0.5]])
+
+
+def test_int_and_laurent_determinants_agree_at_t_equal_one():
+    rng = random.Random(209)
+    for _ in range(5):
+        m = burau_eval(rand_word(rng, 4, 6))
+        d = m.det()
+        assert d.as_unit() is not None
+        assert m.at_one().det() == d.at_one()
+        assert m.at_one().inverse() == m.inverse().at_one()
 
 
 # ---------------------------------------------------------------------------

@@ -229,9 +229,10 @@ def test_phi_degree5_instance_transports_down():
 def test_coset_equality_ignores_modulus_shifts():
     mod = coset_modulus(N, 2)
     w = (gen_x(2, 4, N) - gen_x(2, 5, N)).matrix
-    shift = list(mod.basis())[0]
+    vec = list(mod.basis())[0]
+    shift = IntMatrix([vec[i * N:(i + 1) * N] for i in range(N)])
     a = CosetElement(GradedElement(5, w), mod)
-    b = CosetElement(GradedElement(5, w + IntMatrix.from_vec(N, shift)), mod)
+    b = CosetElement(GradedElement(5, w + shift), mod)
     assert a == b
     # w itself is not in the modulus, so doubling moves the coset; tripling
     # does not, since twice any odd degree-5 element lands back inside
