@@ -33,6 +33,7 @@ import json
 import math
 from typing import Iterator
 
+from .laurent import json_int
 from .liealg import GradedElement, g_basis, g_lattice, gen_x, sn_act
 from .linalg import IntLattice, IntMatrix, LaurentMatrix
 from .rep import GammaElement, burau_eval, burau_eval_trunc, gamma_check
@@ -205,11 +206,11 @@ class WitnessLibrary:
 
     @staticmethod
     def from_json(data: dict, trust: bool = False) -> "WitnessLibrary":
-        n = int(data["n"])
-        max_degree = int(data["maxDegree"])
+        n = json_int(data["n"], name="n")
+        max_degree = json_int(data["maxDegree"], name="maxDegree")
         per_degree = {k: [Witness.from_json(w, n) for w in data["degrees"][str(k)]]
                       for k in range(1, max_degree + 1)}
-        inductors = {int(k): Witness.from_json(w, n)
+        inductors = {json_int(k, True, name="inductors"): Witness.from_json(w, n)
                      for k, w in data.get("inductors", {}).items()}
         lib = WitnessLibrary(n, max_degree, per_degree, inductors)
         if not trust:

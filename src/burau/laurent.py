@@ -26,18 +26,20 @@ Scalar = Union[int, "LaurentPoly"]
 _DECIMAL = re.compile(r"-?[0-9]+")
 
 
-def json_int(value, decimal_string: bool = False) -> int:
+def json_int(value, decimal_string: bool = False, name: str | None = None) -> int:
     """An integer read from JSON: an int, never a bool or a float.
 
     With ``decimal_string`` a string of decimal digits, as ``to_json``
     writes Laurent coefficients, is read too.  Anything else is refused with
-    TypeError rather than rounded.
+    TypeError rather than rounded; the message starts with ``name``, the
+    field the value came from, when one is given.
     """
     if type(value) is int:
         return value
     if decimal_string and isinstance(value, str) and _DECIMAL.fullmatch(value):
         return int(value)
-    raise TypeError(f"expected an integer, got {value!r}")
+    field = f"{name}: " if name is not None else ""
+    raise TypeError(f"{field}expected an integer, got {value!r}")
 
 
 class LaurentPoly:

@@ -11,6 +11,15 @@ word evaluation, where only the first N s-adic coefficients matter.  Both
 paths are exact in their own ring: truncation at t = 1 + s is a ring
 homomorphism, so a truncated result is a theorem about the exact one.
 
+A Laurent matrix product is big-integer arithmetic (Kronecker
+substitution): each entry, shifted by the least exponent of its row or
+column, is packed into one Python int in balanced base-2^W digits, and each
+output entry is one sum of n big-int products, unpacked once.  The digit
+width W is fixed before packing, in whole bytes, from a bound on every
+product coefficient, so no digit can carry.  Operands whose rows or columns
+hold terms far apart in degree (say t^0 and t^(10^9)), where the packed ints
+would be mostly zero digits, take the entrywise product instead.
+
 A truncated matrix is the (N, n, n) numpy stack of its s^k coefficient
 matrices, with Python-int entries.  :func:`trunc_mul` is the one product in
 Z[s]/(s^N), for ``TruncMatrix`` and for the commutator search's batches.
@@ -21,6 +30,7 @@ Integer matrices double as s-adic coefficients and as vectors in Z^(n^2)
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -53,9 +63,9 @@ class SquareMatrix:
     A subclass names its entry ring and holds only what is specific to it:
     ``_entry`` coerces one entry into the ring (refusing what is not in it),
     and ``_zero`` and ``_one`` are the ring's constants.  Each subclass binds
-    its own product as ``__mul__``: the Laurent product skips zero entries,
-    and the benchmark tracer (``perfbench/tracer.py``) wraps each class's
-    product where that class defines it.
+    its own product as ``__mul__``: the Laurent product packs entries into
+    big integers, and the benchmark tracer (``perfbench/tracer.py``) wraps
+    each class's product where that class defines it.
     """
 
     __slots__ = ("n", "rows")
@@ -290,9 +300,128 @@ def perm_matrix(pi) -> IntMatrix:
 # ---------------------------------------------------------------------------
 # Laurent matrices
 
+#: packing pads each entry with zero digits to its line's span; past this
+#: many digits per term the entrywise product is the faster one (at n = 5
+#: the two cross between 4 and 16, later for entries of more terms)
+_DIGITS_PER_TERM = 8
+
+
+def _kronecker_lines(lines):
+    """Per line (a row or a column): least exponent and span in digits.
+
+    Also the largest |coefficient|, the digits of the packed entries (each
+    nonzero entry padded to its line's span) and the number of terms.
+    """
+    lows, spans, values = [], [], []
+    digits = 0
+    for line in lines:
+        polys = [p._c for p in line if p._c]
+        if polys:
+            low = min(map(min, polys))
+            span = max(map(max, polys)) - low + 1
+            digits += span * len(polys)
+            values += map(dict.values, polys)
+        else:
+            low = span = 0
+        lows.append(low)
+        spans.append(span)
+    values = list(itertools.chain.from_iterable(values))
+    return lows, spans, max(map(abs, values), default=0), digits, len(values)
+
+
+def _kronecker_product(rows, cols):
+    """Rows of the product of Laurent rows by Laurent columns, or None.
+
+    Kronecker substitution: an entry a of row i becomes the integer
+    a(2^W) / 2^(W * low_i), with low_i the least exponent in row i, and
+    likewise per column; one big-integer dot product then gives every
+    coefficient of an output entry as one base-2^W digit.  The digit width
+    W is fixed first, in whole bytes: the bit length of
+    n * min(span_rows, span_cols) * max|a| * max|b|, a bound on every
+    product coefficient, plus a sign bit.  Digits are balanced, in
+    [-2^(W-1), 2^(W-1)); adding the integer whose digits are all 2^(W-1)
+    makes them plain bytes, so a long entry is packed by one
+    ``int.from_bytes`` and every output entry is unpacked by one
+    ``to_bytes``.  Returns None when packing would write more than
+    ``_DIGITS_PER_TERM`` digits per term of the operands, as when entries
+    of one row or column lie far apart in degree.
+    """
+    lows_a, spans_a, top_a, digits_a, terms_a = _kronecker_lines(rows)
+    lows_b, spans_b, top_b, digits_b, terms_b = _kronecker_lines(cols)
+    if not (terms_a and terms_b):
+        return [[ZERO] * len(cols) for _ in rows]
+    if digits_a + digits_b > _DIGITS_PER_TERM * (terms_a + terms_b):
+        return None
+    bound = len(rows) * min(max(spans_a), max(spans_b)) * top_a * top_b
+    width = (bound.bit_length() + 8) // 8
+    bits = 8 * width
+    half = 1 << (bits - 1)
+    half_bytes = half.to_bytes(width, "little")
+
+    def pack(lines, lows, spans):
+        out = []
+        for line, low, span in zip(lines, lows, spans):
+            packed = []
+            for p in line:
+                c = p._c
+                if not c:
+                    packed.append(0)
+                elif len(c) <= 8:
+                    # shifts cost terms * span, so only for a few terms
+                    packed.append(sum(v << bits * (e - low)
+                                      for e, v in c.items()))
+                else:
+                    blank = half_bytes * span
+                    buf = bytearray(blank)
+                    for e, v in c.items():
+                        k = (e - low) * width
+                        buf[k:k + width] = (v + half).to_bytes(width, "little")
+                    packed.append(int.from_bytes(buf, "little")
+                                  - int.from_bytes(blank, "little"))
+            out.append(packed)
+        return out
+
+    packed_cols = pack(cols, lows_b, spans_b)
+    out = []
+    for row, low_a in zip(pack(rows, lows_a, spans_a), lows_a):
+        new_row = []
+        for col, low_b in zip(packed_cols, lows_b):
+            acc = sum(map(operator.mul, row, col))
+            if not acc:
+                new_row.append(ZERO)
+                continue
+            # Unpack from the lowest to the highest nonzero digit.  A digit
+            # is below 2^(W-1) in size, so the lowest set bit of acc falls
+            # in the lowest nonzero digit, and |acc| has between W * top
+            # and W * (top + 1) - 1 bits, top being the highest one.
+            first = ((acc & -acc).bit_length() - 1) // bits
+            acc >>= bits * first
+            low = low_a + low_b + first
+            if -half <= acc < half:
+                new_row.append(LaurentPoly({low: acc}))
+                continue
+            blank = half_bytes * (abs(acc).bit_length() // bits + 1)
+            buf = (acc + int.from_bytes(blank, "little")).to_bytes(
+                len(blank), "little")
+            new_row.append(LaurentPoly(dict(zip(
+                itertools.count(low),
+                (int.from_bytes(buf[k:k + width], "little") - half
+                 for k in range(0, len(buf), width))))))
+        out.append(new_row)
+    return out
+
 
 class LaurentMatrix(SquareMatrix):
-    """An n x n matrix over Z[t, t^-1]."""
+    """An n x n matrix over Z[t, t^-1].
+
+    The matrix product is a Kronecker substitution: entries are packed into
+    Python big integers, one per entry, in a digit width fixed a priori
+    from the operands, so each output entry is a sum of n big-integer
+    products (see :func:`_kronecker_product`).  Operands whose rows or
+    columns hold terms far apart in degree, where the packed integers would
+    be mostly zero digits, take the entrywise product of
+    :class:`SquareMatrix` instead.
+    """
 
     __slots__ = ()
     _zero, _one = ZERO, ONE
@@ -309,18 +438,8 @@ class LaurentMatrix(SquareMatrix):
         if not isinstance(other, LaurentMatrix):
             return self._product(other)
         self._check(other)
-        cols = list(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            new_row = []
-            for col in cols:
-                acc = ZERO
-                for a, b in zip(row, col):
-                    if a._c and b._c:
-                        acc = acc + a * b
-                new_row.append(acc)
-            out.append(new_row)
-        return LaurentMatrix(out)
+        rows = _kronecker_product(self.rows, list(zip(*other.rows)))
+        return self._product(other) if rows is None else LaurentMatrix(rows)
 
     __rmul__ = __mul__
 
@@ -514,10 +633,13 @@ class TruncMatrix:
 
     @staticmethod
     def from_json(obj: dict) -> "TruncMatrix":
-        prec = obj["precision"]
-        rows = [[TruncSeries(prec, e) for e in row] for row in obj["entries"]]
+        """Entries are lists of JSON integer coefficients; a bool, float or
+        string anywhere is refused with TypeError."""
+        prec = json_int(obj["precision"], name="precision")
+        rows = [[TruncSeries(prec, map(json_int, e)) for e in row]
+                for row in obj["entries"]]
         m = TruncMatrix(prec, rows)
-        if m.n != obj["n"]:
+        if m.n != json_int(obj["n"], name="n"):
             raise ValueError("declared dimension does not match entries")
         return m
 

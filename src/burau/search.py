@@ -24,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .laurent import json_int
 from .liealg import GradedElement
 from .linalg import IntMatrix, TruncMatrix, perm_matrix, trunc_mul
 from .rep import burau_eval, burau_eval_trunc
@@ -66,16 +67,22 @@ class SearchConfig:
 
     @staticmethod
     def from_json(data: dict, bindings=None) -> "SearchConfig":
-        n = int(data["n"])
+        """Read a config; every number is a JSON integer, and an optional
+        field that is absent or null takes its default."""
+        def optional(key: str, default: int | None) -> int | None:
+            value = data.get(key)
+            return default if value is None else json_int(value, name=key)
+
+        n = json_int(data["n"], name="n")
         pool = [parse_word(w, n, bindings) for w in data["pool"]]
         return SearchConfig(
-            n, int(data["targetDepth"]), pool,
-            max_nesting=int(data.get("maxNesting", 1)),
-            max_terms=int(data.get("maxTerms", 1)),
-            precision=data.get("precision"),
-            result_cap=int(data.get("resultCap", 100)),
-            budget=data.get("budget"),
-            exact_cap=int(data.get("exactCap", 4096)))
+            n, json_int(data["targetDepth"], name="targetDepth"), pool,
+            max_nesting=optional("maxNesting", 1),
+            max_terms=optional("maxTerms", 1),
+            precision=optional("precision", None),
+            result_cap=optional("resultCap", 100),
+            budget=optional("budget", None),
+            exact_cap=optional("exactCap", 4096))
 
 
 class SearchHit:

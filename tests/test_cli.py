@@ -10,13 +10,16 @@ import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import burau
 from burau.cli import main
 from burau.density import default_library
 from burau.liealg import g_bracket, gen_x, gen_y
-from burau.linalg import LaurentMatrix, TruncMatrix, perm_matrix
-from burau.rep import burau_eval, burau_eval_trunc
+from burau.laurent import LaurentPoly
+from burau.linalg import LaurentMatrix, SquareMatrix, TruncMatrix, perm_matrix
+from burau.rep import burau_eval, burau_eval_trunc, form_j
 from burau.words import alpha_word, gen, parse_word
 
 N = 5
@@ -478,6 +481,26 @@ def test_library_without_degrees_is_a_usage_error(tmp_path):
                        str(path), "maxDegree")
 
 
+def test_search_config_with_non_integer_field_is_a_usage_error(tmp_path):
+    good = {"n": 5, "targetDepth": 2, "pool": ["A12", "A13"], "precision": 3,
+            "budget": None}
+    path = tmp_path / "cfg.json"
+    for field, bad in (("n", 5.2), ("targetDepth", 3.7), ("precision", 3.5),
+                       ("budget", "50"), ("maxTerms", True)):
+        path.write_text(json.dumps({**good, field: bad}))
+        assert_usage_error(*run(["search", "--config", str(path)]),
+                           str(path), field, "integer")
+
+
+def test_library_with_non_integer_field_is_a_usage_error(tmp_path):
+    good = default_library(N, 2).to_json()
+    path = tmp_path / "lib.json"
+    for field, bad in (("n", 5.0), ("maxDegree", 2.4)):
+        path.write_text(json.dumps({**good, field: bad}))
+        assert_usage_error(*run(["library-verify", "--library", str(path)]),
+                           str(path), field, "integer")
+
+
 def test_approximate_library_without_degrees_is_a_usage_error(tmp_path):
     gamma = tmp_path / "gamma.json"
     gamma.write_text(json.dumps(burau_eval(parse_word("A13", N)).to_json()))
@@ -485,6 +508,29 @@ def test_approximate_library_without_degrees_is_a_usage_error(tmp_path):
     path.write_text(json.dumps({"n": 5}))
     assert_usage_error(*run(["approximate", "--gamma", str(gamma), "--k", "2",
                              "--library", str(path)]), str(path), "maxDegree")
+
+
+def test_check_of_a_matrix_with_far_apart_degrees(tmp_path):
+    far = LaurentPoly({10 ** 9: 1})
+    m = LaurentMatrix([[1, far, 0], [0, 1, 0], [0, 0, 1]])
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(m.to_json()))
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        code, lines, _ = run(["check", "--matrix", str(path)])
+        seconds = time.perf_counter() - t0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    j = form_j(3)
+    unitary = SquareMatrix._product(SquareMatrix._product(m.star(), j), m) == j
+    assert not unitary
+    assert code == 1
+    assert lines[0]["status"] == "fail"
+    assert "unitary" in lines[0]["violations"]
+    assert seconds < 0.5
+    assert peak < 1 << 20
 
 
 def test_closed_stdout_exits_without_traceback():

@@ -1,6 +1,8 @@
 import json
 import math
 import random
+import time
+import tracemalloc
 
 from fractions import Fraction
 
@@ -9,7 +11,8 @@ import pytest
 from burau.laurent import S, LaurentPoly, T, T_INV, TruncSeries
 from burau.linalg import (IntLattice, IntMatrix, LaurentMatrix,
                           NonUnitDeterminant, RatMatrix, TruncMatrix,
-                          matrix_lattice, perm_matrix, row_hnf)
+                          _kronecker_product, matrix_lattice, perm_matrix,
+                          row_hnf)
 from burau.liealg import g_basis, gen_x, gen_y
 from burau.rep import burau_eval, burau_eval_trunc, burau_gen, form_j
 from burau.words import Perm, alpha_word, concat, gen, pure_gen
@@ -292,6 +295,109 @@ def test_trunc_kernel_is_exact_far_above_int64():
 def test_laurent_json_round_trip():
     m = burau_eval(pure_gen(4, 1, 3))
     assert LaurentMatrix.from_json(m.to_json()) == m
+
+
+def test_trunc_json_refuses_non_integers():
+    good = {"n": 1, "precision": 2, "entries": [[[1, 2]]]}
+    assert TruncMatrix.from_json(good).rows[0][0].coeffs() == [1, 2]
+    for bad in ({**good, "entries": [[[1.5, True]]]},
+                {**good, "entries": [[[1, "2"]]]},
+                {**good, "precision": 2.0},
+                {**good, "n": True}):
+        with pytest.raises(TypeError):
+            TruncMatrix.from_json(bad)
+
+
+# ---------------------------------------------------------------------------
+# the LaurentMatrix product against the schoolbook oracle
+
+
+def schoolbook(a, b):
+    """a * b as n LaurentPoly products per entry: the reference product."""
+    n = a.n
+    return LaurentMatrix([[sum((a[i, k] * b[k, j] for k in range(n)),
+                               LaurentPoly(0))
+                           for j in range(n)] for i in range(n)])
+
+
+def _random_laurent(rng, n, rows_off, cols_off, bits, zero_frac):
+    def entry(i, j):
+        if rng.random() < zero_frac:
+            return LaurentPoly(0)
+        low = rows_off[i] + cols_off[j]
+        return LaurentPoly({low + rng.randint(0, 15):
+                            rng.choice((1, -1)) * rng.getrandbits(bits)
+                            for _ in range(rng.randint(1, 14))})
+    return LaurentMatrix([[entry(i, j) for j in range(n)] for i in range(n)])
+
+
+def test_product_matches_schoolbook():
+    """Exponent offsets differ by row of the left factor and by column of
+    the right one, as the packing expects; every fourth trial also offsets
+    the inner index, which spreads each line so far that the product takes
+    the entrywise route."""
+    rng = random.Random(611)
+    packed = 0
+    for trial in range(120):
+        n = 1 + trial % 7
+        offsets = [[rng.randint(-60, 60) for _ in range(n)] for _ in range(3)]
+        inner = offsets[2] if trial % 4 == 0 else [0] * n
+        bits = rng.choice((1, 3, 20, 64, 200))
+        zero_frac = rng.choice((0.0, 0.3, 0.8))
+        a = _random_laurent(rng, n, offsets[0], inner, bits, zero_frac)
+        b = _random_laurent(rng, n, [-v for v in inner], offsets[1], bits,
+                            zero_frac)
+        if trial % 5 == 0:
+            zero_row = rng.randrange(n)
+            a = LaurentMatrix([[LaurentPoly(0)] * n if i == zero_row else row
+                               for i, row in enumerate(a.rows)])
+        assert a * b == schoolbook(a, b)
+        packed += _kronecker_product(a.rows, list(zip(*b.rows))) is not None
+        zero = LaurentMatrix.zero(n)
+        assert a * zero == zero and zero * b == zero
+        scalar = LaurentPoly({rng.randint(-60, 60): rng.getrandbits(bits) + 1})
+        assert a * scalar == scalar * a == LaurentMatrix(
+            [[e * scalar for e in row] for row in a.rows])
+    assert packed >= 80
+
+
+def test_product_coefficient_at_the_digit_width_bound():
+    """All entries x(1 + t + ... + t^(m-1)) times +-the same: the middle
+    coefficient of every product entry is +-n m x^2, exactly the bound
+    n * min(span) * max|a| * max|b| the digit width is sized for.  x is
+    picked so that this bound has a whole number of bytes, so the sign bit
+    alone costs a byte.  Entries of 2 and of 12 terms are packed by
+    different routes."""
+    for n in (1, 2, 3, 7):
+        for m in (2, 12):
+            for nbytes in (2, 8, 25):
+                x = math.isqrt((2 ** (8 * nbytes) - 1) // (n * m))
+                bound = n * m * x * x
+                assert bound.bit_length() == 8 * nbytes
+                a = LaurentMatrix([[LaurentPoly(dict.fromkeys(range(m), x))]
+                                   * n] * n)
+                for sign in (1, -1):
+                    b = a * LaurentPoly(sign)
+                    ab = a * b
+                    assert ab == schoolbook(a, b)
+                    assert ab[0, n - 1].coeff(m - 1) == sign * bound
+
+
+def test_sparse_operands_take_the_entrywise_product():
+    far = LaurentPoly({10 ** 9: 1})
+    a = LaurentMatrix([[1, far, 0], [0, 1, 0], [0, 0, 1]])
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        square = a * a
+        seconds = time.perf_counter() - t0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert square == schoolbook(a, a)
+    assert square[0, 1] == far * 2
+    assert seconds < 0.5
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------

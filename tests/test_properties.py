@@ -1,6 +1,7 @@
 """Property tests: truncation at t = 1 + s is a ring homomorphism, the
-braid relations hold inside any word, and formatting a word then parsing it
-gives the same braid.
+braid relations hold inside any word, formatting a word then parsing it
+gives the same braid, the Laurent matrix product agrees with the entrywise
+schoolbook product, and HNF lattice solving is sound.
 
 Generated words mix letters, powers, inverses and commutators.  The runs are
 derandomized, so every run checks the same examples.
@@ -11,6 +12,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from burau.laurent import LaurentPoly  # noqa: E402
+from burau.linalg import IntLattice, LaurentMatrix  # noqa: E402
 from burau.rep import burau_eval, burau_eval_trunc  # noqa: E402
 from burau.words import (Power, commutator, concat, gen, parse_word,  # noqa: E402
                          word_format)
@@ -71,3 +74,71 @@ def test_far_commutation_inside_words(u, v, ij):
 @given(words)
 def test_format_then_parse_is_the_same_braid(w):
     assert burau_eval(parse_word(word_format(w), N)) == burau_eval(w)
+
+
+_coefficients = st.integers(-2 ** 200, 2 ** 200)
+
+
+@st.composite
+def _laurent_pairs(draw):
+    """Two n x n Laurent matrices; the left one's exponents are offset per
+    row and the right one's per column, each in -60..60."""
+    n = draw(st.integers(1, 5))
+    offsets = st.lists(st.integers(-60, 60), min_size=n, max_size=n)
+    row_off, col_off = draw(offsets), draw(offsets)
+
+    def entry(off):
+        return st.dictionaries(st.integers(0, 15), _coefficients,
+                               max_size=12).map(
+            lambda c: LaurentPoly({off + e: v for e, v in c.items()}))
+
+    a = [[draw(entry(row_off[i])) for _ in range(n)] for i in range(n)]
+    b = [[draw(entry(col_off[j])) for j in range(n)] for _ in range(n)]
+    return LaurentMatrix(a), LaurentMatrix(b)
+
+
+@_settings
+@given(_laurent_pairs())
+def test_laurent_product_is_the_schoolbook_product(ab):
+    a, b = ab
+    n = a.n
+    assert a * b == LaurentMatrix(
+        [[sum((a[i, k] * b[k, j] for k in range(n)), LaurentPoly(0))
+          for j in range(n)] for i in range(n)])
+
+
+@st.composite
+def _lattice_cases(draw):
+    """Generators scaled by m, a combination of them, and a coordinate."""
+    dim = draw(st.integers(1, 6))
+    vec = st.lists(st.integers(-20, 20), min_size=dim, max_size=dim)
+    gens = draw(st.lists(vec, min_size=1, max_size=7))
+    m = draw(st.integers(1, 3))
+    combo = draw(st.lists(st.integers(-9, 9), min_size=len(gens),
+                          max_size=len(gens)))
+    return [[m * v for v in g] for g in gens], m, combo, draw(
+        st.integers(0, dim - 1))
+
+
+@_settings
+@given(_lattice_cases())
+def test_lattice_solve_is_sound(case):
+    gens, m, combo, k = case
+    dim = len(gens[0])
+    lattice = IntLattice(dim, gens)
+
+    def combination(coeffs):
+        return [sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(dim)]
+
+    target = combination(combo)
+    coeffs = lattice.solve(target)
+    assert coeffs is not None and lattice.contains(target)
+    assert combination(coeffs) == target
+    # every generator lies in m Z^dim, so for m > 1 a unit step leaves it
+    off = [v + (i == k) for i, v in enumerate(target)]
+    coeffs = lattice.solve(off)
+    assert lattice.contains(off) == (coeffs is not None)
+    if m > 1:
+        assert coeffs is None
+    elif coeffs is not None:
+        assert combination(coeffs) == off
