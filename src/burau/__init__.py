@@ -11,7 +11,7 @@ from .words import (BraidWord, Commutator, Concat, IndexOutOfRange, Inverse,
                     word_format, word_permutation)
 from .liealg import (GradedElement, bracket_lattice, g_basis, g_bracket,
                      g_lattice, g_rank, gen_x, gen_y, membership_violations,
-                     orbit, sn_act)
+                     orbit, orbit_key, sn_act)
 from .rep import (GAMMA_CONDITIONS, DepthTooSmall, GammaElement, GammaReport,
                   burau_eval, burau_eval_trunc, burau_gamma, burau_gen,
                   form_j, gamma_check, gamma_coeff, ones_row, vector_v)

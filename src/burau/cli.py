@@ -4,7 +4,9 @@ Every command prints line-oriented JSON on stdout (one object per line)
 unless --human is passed, in which case matrices and tables are rendered
 for reading.  Exit codes: 0 success, 1 domain failure (a membership check
 failed, a target was unreachable, a verification missed), 2 usage or
-parse errors.
+parse errors, 3 an internal invariant failed (two exact computations of
+one value disagreed: a bug, never a property of the input).  An error
+that ends a command prints one JSON line {"error", "kind"} on stderr.
 """
 
 from __future__ import annotations
@@ -394,6 +396,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _report(exc: Exception, code: int) -> int:
+    print(json.dumps({"error": str(exc), "kind": type(exc).__name__}),
+          file=sys.stderr)
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -406,14 +414,12 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except (ParseError, UsageError, json.JSONDecodeError, FileNotFoundError) as exc:
-        print(json.dumps({"error": str(exc), "kind": type(exc).__name__}),
-              file=sys.stderr)
-        return 2
+        return _report(exc, 2)
     except (NotInGamma, NoSolution, SpanFailure, DepthTooSmall,
             LibraryIntegrityError, IndexOutOfRange, ValueError) as exc:
-        print(json.dumps({"error": str(exc), "kind": type(exc).__name__}),
-              file=sys.stderr)
-        return 1
+        return _report(exc, 1)
+    except AssertionError as exc:
+        return _report(exc, 3)
 
 
 if __name__ == "__main__":

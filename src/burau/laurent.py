@@ -73,13 +73,6 @@ class LaurentPoly:
     def coeff(self, exp: int) -> int:
         return self._c.get(exp, 0)
 
-    def min_exp(self) -> int:
-        """Lowest exponent with nonzero coefficient.  Undefined for 0."""
-        return min(self._c)
-
-    def max_exp(self) -> int:
-        return max(self._c)
-
     def at_one(self) -> int:
         """Evaluate at t = 1, i.e. reduce modulo s."""
         return sum(self._c.values())
@@ -197,41 +190,25 @@ class LaurentPoly:
         out._c = {-e: v for e, v in self._c.items()}
         return out
 
-    def div_t_minus_one(self) -> "LaurentPoly | None":
-        """Exact quotient by (t - 1), or None if not divisible.
+    def s_valuation(self) -> int | float:
+        """Largest k with (t-1)^k dividing self; math.inf for the zero polynomial.
 
-        Divisibility in Z[t,t^-1] is insensitive to the unit t^m, so the
-        polynomial is shifted to ordinary form and divided synthetically.
+        With m the least exponent, t^-m * self at t = 1 + s is the sum of
+        c_k s^k with c_k = sum_e v_e C(e - m, k), read term by term up to
+        the first nonzero c_k.  By Descartes' rule of signs a nonzero
+        polynomial with r terms has a root of multiplicity at most r - 1 at
+        t = 1, so at most r of the c_k are read, whatever the degree.
         """
         if not self._c:
-            return ZERO
-        if self.at_one() != 0:
-            return None
-        m = self.min_exp()
-        top = self.max_exp() - m
-        dense = [0] * (top + 1)
-        for e, v in self._c.items():
-            dense[e - m] = v
-        # synthetic division of sum dense[i] x^i by (x - 1), highest term first
-        quot = [0] * top
-        carry = 0
-        for i in range(top, 0, -1):
-            carry += dense[i]
-            quot[i - 1] = carry
-        return LaurentPoly({i + m: v for i, v in enumerate(quot) if v})
-
-    def s_valuation(self) -> int | float:
-        """Largest k with (t-1)^k dividing self; math.inf for the zero polynomial."""
-        if not self._c:
             return math.inf
-        val = 0
-        p = self
-        while True:
-            q = p.div_t_minus_one()
-            if q is None:
-                return val
-            val += 1
-            p = q
+        m = min(self._c)
+        # (e - m, v_e C(e - m, k)) for the terms with e - m >= k
+        terms = [(e - m, v) for e, v in self._c.items()]
+        k = 0
+        while not sum(v for _, v in terms):
+            terms = [(d, v * (d - k) // (k + 1)) for d, v in terms if d > k]
+            k += 1
+        return k
 
     def to_series(self, precision: int) -> "TruncSeries":
         """Image in Z[s]/(s^precision) under t = 1 + s.

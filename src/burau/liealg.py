@@ -14,10 +14,11 @@ written down by hand, so the announced ranks are computed facts.
 
 from __future__ import annotations
 
+import itertools
 from typing import Sequence
 
 from .laurent import json_int
-from .linalg import IntLattice, IntMatrix, perm_matrix
+from .linalg import IntLattice, IntMatrix
 from .words import Perm, all_perms
 
 
@@ -142,9 +143,17 @@ def g_bracket(a: GradedElement, b: GradedElement) -> GradedElement:
 
 
 def sn_act(pi: Perm, a: GradedElement) -> GradedElement:
-    """Conjugation by the permutation matrix of pi; preserves degree."""
-    p = perm_matrix(pi)
-    return GradedElement(a.degree, p * a.matrix * p.transpose())
+    """Conjugation P A P^T by the permutation matrix P of pi; preserves degree.
+
+    With P[i, pi(i)] = 1 (see ``linalg.perm_matrix``) the conjugate is the
+    relabelling (P A P^T)[i, j] = A[pi(i), pi(j)], so no product is formed.
+    """
+    if pi.n != a.n:
+        raise ValueError("size mismatch")
+    rows = a.matrix.rows
+    idx = [i - 1 for i in pi.images]
+    return GradedElement(a.degree,
+                         IntMatrix([[rows[i][j] for j in idx] for i in idx]))
 
 
 def orbit(a: GradedElement) -> list[GradedElement]:
@@ -157,6 +166,19 @@ def orbit(a: GradedElement) -> list[GradedElement]:
             seen.add(b.matrix)
             out.append(b)
     return out
+
+
+def orbit_key(a: GradedElement) -> tuple[int, ...]:
+    """The least row-major vector of +-b over the S_n-orbit of a.
+
+    Two elements of one degree have the same key exactly when they agree up
+    to sign and the S_n action.  The relabellings are built as tuples
+    directly: the n! conjugates are never validated as elements.
+    """
+    rows = a.matrix.rows
+    vecs = (tuple(rows[i][j] for i in idx for j in idx)
+            for idx in itertools.permutations(range(a.n)))
+    return min(min(vec, tuple(-v for v in vec)) for vec in vecs)
 
 
 # ---------------------------------------------------------------------------

@@ -468,14 +468,18 @@ class LaurentMatrix(SquareMatrix):
     def s_valuation(self) -> int | float:
         """Largest k with s^k dividing every entry; inf exactly for 0.
 
-        Computed by exact repeated division by (t - 1), not by truncation,
-        so there is no precision cap.
+        Read exactly from each entry's s-expansion (see
+        ``LaurentPoly.s_valuation``), not by truncation, so there is no
+        precision cap and a far exponent such as t^(10^9) costs nothing.
         """
         return min((e.s_valuation() for row in self.rows for e in row),
                    default=math.inf)
 
     def depth(self) -> int | float:
-        """Largest k with A congruent to I modulo s^k; inf exactly for A = I."""
+        """Largest k with A congruent to I modulo s^k; inf exactly for A = I.
+
+        Exact, with no precision cap: the s-valuation of A - I.
+        """
         return (self - LaurentMatrix.identity(self.n)).s_valuation()
 
     def inverse(self) -> "LaurentMatrix":
@@ -633,11 +637,14 @@ class TruncMatrix:
 
     @staticmethod
     def from_json(obj: dict) -> "TruncMatrix":
-        """Entries are lists of JSON integer coefficients; a bool, float or
-        string anywhere is refused with TypeError."""
+        """Entries are lists of ``precision`` JSON integer coefficients; a
+        bool, float or string anywhere is refused with TypeError, a list of
+        another length with ValueError."""
         prec = json_int(obj["precision"], name="precision")
         rows = [[TruncSeries(prec, map(json_int, e)) for e in row]
                 for row in obj["entries"]]
+        if any(len(e) != prec for row in obj["entries"] for e in row):
+            raise ValueError(f"an entry does not hold {prec} coefficients")
         m = TruncMatrix(prec, rows)
         if m.n != json_int(obj["n"], name="n"):
             raise ValueError("declared dimension does not match entries")

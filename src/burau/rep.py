@@ -111,13 +111,9 @@ def burau_eval_trunc(w: BraidWord, precision: int) -> TruncMatrix:
 
 
 class GammaElement:
-    """A certified element of Gamma, with cached derived data.
+    """A certified element of Gamma; equality is equality of matrices."""
 
-    Equality is equality of matrices; the cached expansion, depth, and
-    permutation are memoized lazily (idempotent fills, safe to race).
-    """
-
-    __slots__ = ("matrix", "word", "_depth", "_coeffs", "_perm")
+    __slots__ = ("matrix", "word")
 
     def __init__(self, matrix: LaurentMatrix, word: BraidWord | None = None,
                  *, _certified: bool = False):
@@ -127,30 +123,19 @@ class GammaElement:
                 raise ValueError(f"matrix is not in Gamma: {bad}")
         self.matrix = matrix
         self.word = word
-        self._depth: int | float | None = None
-        self._coeffs: dict[int, IntMatrix] = {}
-        self._perm: Perm | None = None
 
     @property
     def n(self) -> int:
         return self.matrix.n
 
     def depth(self) -> int | float:
-        if self._depth is None:
-            self._depth = self.matrix.depth()
-        return self._depth
+        return self.matrix.depth()
 
     def coeff(self, k: int) -> IntMatrix:
-        got = self._coeffs.get(k)
-        if got is None:
-            got = self.matrix.s_expand(k + 1)[k]
-            self._coeffs[k] = got
-        return got
+        return self.matrix.truncate(k + 1).coefficient(k)
 
     def permutation(self) -> Perm:
-        if self._perm is None:
-            self._perm = Perm(self.matrix.at_one().permutation_images())
-        return self._perm
+        return Perm(self.matrix.at_one().permutation_images())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GammaElement):
@@ -255,10 +240,8 @@ def gamma_coeff(g: GammaElement | LaurentMatrix | BraidWord, k: int) -> GradedEl
         g = GammaElement(g)
     if k < 1:
         raise ValueError("coefficient degree must be >= 1")
-    coeffs = g.matrix.s_expand(k + 1)
-    if coeffs[0] != IntMatrix.identity(g.n):
-        raise DepthTooSmall(f"element has depth 0 < {k}")
-    for j in range(1, k):
-        if not coeffs[j].is_zero():
-            raise DepthTooSmall(f"element has depth {j} < {k}")
-    return GradedElement(k, coeffs[k])
+    m = g.matrix.truncate(k + 1)
+    depth = m.depth_bound()
+    if depth < k:
+        raise DepthTooSmall(f"element has depth {depth} < {k}")
+    return GradedElement(k, m.coefficient(k))

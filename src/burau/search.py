@@ -25,11 +25,11 @@ from typing import Sequence
 import numpy as np
 
 from .laurent import json_int
-from .liealg import GradedElement
-from .linalg import IntMatrix, TruncMatrix, perm_matrix, trunc_mul
+from .liealg import GradedElement, orbit_key
+from .linalg import TruncMatrix, trunc_mul
 from .rep import burau_eval, burau_eval_trunc
-from .words import (BraidWord, all_perms, commutator, concat, letter_bound,
-                    parse_word, word_format)
+from .words import (BraidWord, commutator, concat, letter_bound, parse_word,
+                    word_format)
 
 
 class SearchConfig:
@@ -166,32 +166,18 @@ def _tree_word(tree: Tree, cfg: SearchConfig) -> BraidWord:
 
 
 # ---------------------------------------------------------------------------
-# orbit-canonical deduplication
-
-
-def _orbit_key(m: IntMatrix, perm_mats: list[IntMatrix]) -> tuple[int, ...]:
-    best: tuple[int, ...] | None = None
-    for p in perm_mats:
-        conj = p * m * p.transpose()
-        for cand in (conj.vec(), (-conj).vec()):
-            if best is None or cand < best:
-                best = cand
-    return best
-
-
-# ---------------------------------------------------------------------------
 # search
 
 
 def search_deep(cfg: SearchConfig) -> SearchOutcome:
     """Enumerate, evaluate, and verify candidates; see the module docstring
-    for the ordering contract.  Results are deduplicated by the canonical
-    representative of the leading coefficient under sign and the
-    permutation action, keeping the earliest candidate."""
+    for the ordering contract.  Results are deduplicated by the leading
+    coefficient's ``liealg.orbit_key`` (its class under sign and the S_n
+    action), keeping the earliest candidate."""
     n, precision, target = cfg.n, cfg.precision, cfg.target_depth
-    terms = _terms_by_size(cfg)
-    max_term_size = len(terms) - 1
-    term_words = [[_tree_word(t, cfg) for t in level] for level in terms]
+    term_words = [[_tree_word(t, cfg) for t in level]
+                  for level in _terms_by_size(cfg)]
+    max_term_size = len(term_words) - 1
     # term tables (p, T, n, n): the coefficient stacks of each size's terms
     term_arrays = [
         np.stack([burau_eval_trunc(w, precision).stack for w in level], axis=1)
@@ -208,13 +194,10 @@ def search_deep(cfg: SearchConfig) -> SearchOutcome:
 
     counter = 0
     exhausted = False
-    raw_hits: list[tuple[int, tuple[Tree, ...], int]] = []
+    raw_hits: list[tuple[int, tuple[BraidWord, ...], int]] = []
 
-    def _assemble(seq: tuple[Tree, ...]) -> BraidWord:
-        return concat(*[_tree_word(t, cfg) for t in seq])
-
-    def scan_batch(start: int, prefix_trees: tuple[Tree, ...], out: np.ndarray,
-                   size: int) -> None:
+    def scan_batch(start: int, prefix_words: tuple[BraidWord, ...],
+                   out: np.ndarray, size: int) -> None:
         const_ok = (out[0] == ident[0]).all(axis=(1, 2))
         if target > 1:
             const_ok &= (out[1:target] == 0).all(axis=(0, 2, 3))
@@ -225,15 +208,15 @@ def search_deep(cfg: SearchConfig) -> SearchOutcome:
                     depth = c
                     break
             if depth is not None:
-                raw_hits.append((start + int(t), prefix_trees + (terms[size][t],),
-                                 depth))
+                raw_hits.append((start + int(t),
+                                 prefix_words + (term_words[size][t],), depth))
 
-    def emit(remaining: int, slots: int, prefix_trees: tuple[Tree, ...],
+    def emit(remaining: int, slots: int, prefix_words: tuple[BraidWord, ...],
              prefix: np.ndarray) -> bool:
         """Enumerate continuations; returns False when the budget is hit."""
         nonlocal counter, exhausted
         for size in range(1, min(remaining, max_term_size) + 1):
-            level = terms[size]
+            level = term_words[size]
             if not level:
                 continue
             if size == remaining:
@@ -242,17 +225,17 @@ def search_deep(cfg: SearchConfig) -> SearchOutcome:
                     limit = cfg.budget - counter
                     exhausted = True
                 if limit > 0:
-                    scan_batch(counter, prefix_trees,
+                    scan_batch(counter, prefix_words,
                                trunc_mul(prefix, term_arrays[size][:, :limit]),
                                size)
                     counter += limit
                 if exhausted:
                     return False
             elif slots > 1:
-                for idx, tree in enumerate(level):
+                for idx, word in enumerate(level):
                     nxt = trunc_mul(prefix, term_arrays[size][:, idx])
                     if not emit(remaining - size, slots - 1,
-                                prefix_trees + (tree,), nxt):
+                                prefix_words + (word,), nxt):
                         return False
         return True
 
@@ -261,23 +244,22 @@ def search_deep(cfg: SearchConfig) -> SearchOutcome:
         if not emit(total, cfg.max_terms, (), ident):
             break
 
-    perm_mats = [perm_matrix(p) for p in all_perms(n)]
     hits: list[SearchHit] = []
     seen: set[tuple[int, ...]] = set()
     for index, seq, depth in raw_hits:
-        word = _assemble(seq)
+        word = concat(*seq)
         m = burau_eval_trunc(word, precision)
         if m.depth_bound() != depth:
             raise AssertionError("batched evaluation disagrees with recheck")
-        coeff = m.coefficient(depth)
         if letter_bound(word) <= cfg.exact_cap:
             if burau_eval(word).depth() != depth:
                 raise AssertionError("exact depth disagrees with truncated")
-        key = _orbit_key(coeff, perm_mats)
+        leading = GradedElement(depth, m.coefficient(depth))
+        key = orbit_key(leading)
         if key in seen:
             continue
         seen.add(key)
-        hits.append(SearchHit(word, depth, GradedElement(depth, coeff), index))
+        hits.append(SearchHit(word, depth, leading, index))
         if len(hits) >= cfg.result_cap:
             break
     return SearchOutcome(hits, counter, exhausted)

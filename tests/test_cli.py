@@ -533,6 +533,35 @@ def test_check_of_a_matrix_with_far_apart_degrees(tmp_path):
     assert peak < 1 << 20
 
 
+def test_depth_of_a_matrix_with_a_far_exponent(tmp_path):
+    # t^(10^9) - 1 is read from its s-expansion, never expanded densely
+    m = LaurentMatrix([[LaurentPoly({10 ** 9: 1}), 0], [0, 1]])
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(m.to_json()))
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        code, lines, _ = run(["depth", "--matrix", str(path)])
+        seconds = time.perf_counter() - t0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert lines[0]["depth"] == 1
+    assert seconds < 0.5
+    assert peak < 1 << 20
+
+
+def test_internal_invariant_failure_exits_3(monkeypatch):
+    import burau.search
+    monkeypatch.setattr(burau.search, "burau_eval",
+                        lambda w: LaurentMatrix.identity(w.n))
+    code, _, err = run(["search", "--delta", "--budget", "30"])
+    assert code == 3
+    assert error_kind(err) == "AssertionError"
+    assert "exact depth disagrees" in json.loads(err)["error"]
+
+
 def test_closed_stdout_exits_without_traceback():
     src = os.path.dirname(os.path.dirname(burau.__file__))
     env = dict(os.environ, PYTHONPATH=src)

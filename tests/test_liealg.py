@@ -10,10 +10,10 @@ import random
 
 import pytest
 
-from burau.linalg import IntLattice, IntMatrix, matrix_lattice
+from burau.linalg import IntLattice, IntMatrix, matrix_lattice, perm_matrix
 from burau.liealg import (GradedElement, bracket_lattice, g_basis, g_bracket,
                           g_lattice, g_rank, gen_x, gen_y,
-                          membership_violations, orbit, sn_act)
+                          membership_violations, orbit, orbit_key, sn_act)
 from burau.words import Perm, all_perms
 
 
@@ -196,6 +196,39 @@ def test_sn_act_commutes_with_bracket():
         a, b = rand_element(rng, 5, 1), rand_element(rng, 5, 2)
         assert sn_act(pi, g_bracket(a, b)) == \
             g_bracket(sn_act(pi, a), sn_act(pi, b))
+
+
+def conjugate(pi, m):
+    """The reference action: the product P M P^T with P = perm_matrix(pi)."""
+    p = perm_matrix(pi)
+    return p * m * p.transpose()
+
+
+def test_sn_act_is_conjugation_by_the_permutation_matrix():
+    rng = random.Random(506)
+    for k in range(1, 6):
+        a = rand_element(rng, 5, k)
+        for pi in all_perms(5):
+            assert sn_act(pi, a).matrix == conjugate(pi, a.matrix)
+
+
+def test_orbit_key_is_the_least_signed_conjugate():
+    rng = random.Random(507)
+    for k in range(1, 6):
+        a = rand_element(rng, 5, k)
+        conjugates = [conjugate(pi, a.matrix) for pi in all_perms(5)]
+        assert orbit_key(a) == min(v for c in conjugates
+                                   for v in (c.vec(), (-c).vec()))
+
+
+def test_orbit_key_is_constant_on_signed_orbits():
+    rng = random.Random(508)
+    for k in range(1, 6):
+        a = rand_element(rng, 5, k)
+        key = orbit_key(a)
+        assert orbit_key(-a) == key
+        for pi in all_perms(5):
+            assert orbit_key(sn_act(pi, a)) == key
 
 
 def test_orbit_of_alpha_seed_spans_degree3():

@@ -308,6 +308,14 @@ def test_trunc_json_refuses_non_integers():
             TruncMatrix.from_json(bad)
 
 
+def test_trunc_json_refuses_coefficient_lists_of_another_length():
+    # neither cut to the precision nor padded up to it
+    for precision, coeffs in ((2, [1, 2, 3]), (3, [5])):
+        with pytest.raises(ValueError):
+            TruncMatrix.from_json({"n": 1, "precision": precision,
+                                   "entries": [[coeffs]]})
+
+
 # ---------------------------------------------------------------------------
 # the LaurentMatrix product against the schoolbook oracle
 

@@ -1,7 +1,8 @@
 """Property tests: truncation at t = 1 + s is a ring homomorphism, the
 braid relations hold inside any word, formatting a word then parsing it
-gives the same braid, the Laurent matrix product agrees with the entrywise
-schoolbook product, and HNF lattice solving is sound.
+gives the same braid, the s-adic valuation counts factors of s = t - 1, the
+Laurent matrix product agrees with the entrywise schoolbook product, and HNF
+lattice solving is sound.
 
 Generated words mix letters, powers, inverses and commutators.  The runs are
 derandomized, so every run checks the same examples.
@@ -12,7 +13,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from burau.laurent import LaurentPoly  # noqa: E402
+from burau.laurent import S, LaurentPoly  # noqa: E402
 from burau.linalg import IntLattice, LaurentMatrix  # noqa: E402
 from burau.rep import burau_eval, burau_eval_trunc  # noqa: E402
 from burau.words import (Power, commutator, concat, gen, parse_word,  # noqa: E402
@@ -74,6 +75,17 @@ def test_far_commutation_inside_words(u, v, ij):
 @given(words)
 def test_format_then_parse_is_the_same_braid(w):
     assert burau_eval(parse_word(word_format(w), N)) == burau_eval(w)
+
+
+_nonzero_at_one = st.dictionaries(
+    st.integers(-40, 40), st.integers(-50, 50), min_size=1, max_size=8).map(
+    LaurentPoly).filter(lambda p: p.at_one() != 0)
+
+
+@_settings
+@given(_nonzero_at_one, st.integers(0, 12))
+def test_s_valuation_counts_factors_of_s(p, k):
+    assert (p * S ** k).s_valuation() == k
 
 
 _coefficients = st.integers(-2 ** 200, 2 ** 200)
