@@ -48,6 +48,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _emit(args, payload: dict, human: str | None = None) -> None:
     if args.human and human is not None:
         print(human)
@@ -348,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("approximate", help="braid word matching a matrix "
                         "through degree K")
     sp.add_argument("--gamma", required=True, help="JSON matrix file")
-    sp.add_argument("--k", "--K", dest="k", type=int, required=True)
+    sp.add_argument("--k", "--K", dest="k", type=positive_int, required=True)
     sp.add_argument("--library", help="witness library JSON file")
     sp.add_argument("--trust", action="store_true",
                     help="skip re-verification of a loaded library")
@@ -368,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="the depth-3 reconstruction config")
     mode.add_argument("--delta", action="store_true",
                       help="the depth-5 reconstruction config")
-    sp.add_argument("--budget", type=int)
+    sp.add_argument("--budget", type=non_negative_int)
     sp.set_defaults(fn=cmd_search)
 
     sp = sub.add_parser("verify-paper", help="run the named behavior checks")
@@ -378,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("library-build", help="build and save a witness library")
     sp.add_argument("--n", type=int, default=5)
-    sp.add_argument("--max-degree", type=int, default=4)
+    sp.add_argument("--max-degree", type=positive_int, default=4)
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=cmd_library_build)
 

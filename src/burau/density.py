@@ -19,12 +19,15 @@ Library recipe, per degree:
 
 where inductor_k is a stored depth-k word with leading coefficient exactly
 X_24 - X_25.  The induction step's raw output only has that coefficient
-modulo 2 G_k (an HNF-verified congruence); the build normalizes it by
-dividing out a solve of the even part before storing.
+modulo 2 G_k; the build normalizes it by dividing out a solve of the even
+part before storing.
 
-Spanning of every degree is certified by HNF rank against the closed-form
-basis; a miss raises SpanFailure, which for n < 5 is expected (the orbit
-of X_24 - X_13 is too small) and otherwise indicates a bug.
+The build keeps candidates by their predicted coefficients until they span
+G_k (HNF rank against the closed-form basis); a miss raises SpanFailure,
+which for n < 5 is expected (the orbit of X_24 - X_13 is too small) and
+otherwise indicates a bug.  `WitnessLibrary.verify`, the check a loaded
+library gets, certifies the finished library: coefficients, spans and the
+induction congruence.
 """
 
 from __future__ import annotations
@@ -113,14 +116,13 @@ def _conjugate(by: BraidWord, w: BraidWord) -> BraidWord:
     return concat(by, w, by.inverse())
 
 
-def _verify_witness(word: BraidWord, k: int, expected: IntMatrix) -> None:
+def _coefficient(word: BraidWord, k: int) -> IntMatrix:
+    """The degree-k coefficient of a word that must have depth >= k."""
     m = burau_eval_trunc(word, k + 1)
     if m.depth_bound() < k:
         raise LibraryIntegrityError(
-            f"stored degree-{k} word has depth {m.depth_bound()}")
-    if m.coefficient(k) != expected:
-        raise LibraryIntegrityError(
-            f"stored degree-{k} word has a different coefficient than recorded")
+            f"degree-{k} word has depth {m.depth_bound()}")
+    return m.coefficient(k)
 
 
 class WitnessLibrary:
@@ -145,21 +147,31 @@ class WitnessLibrary:
 
     # -- verification ------------------------------------------------------
 
+    def _stored(self) -> list[tuple[int, Witness]]:
+        """(degree, witness) for every stored Witness object, each once; a
+        built library lists its inductors among their degree's witnesses."""
+        listed = [(k, w) for k in range(1, self.max_degree + 1)
+                  for w in self.per_degree[k]]
+        return listed + [(k, w) for k, w in self.inductors.items()
+                         if w not in self.per_degree.get(k, ())]
+
     def verify(self) -> None:
         """Recompute every stored coefficient and every spanning and
         induction certificate; raise LibraryIntegrityError on any miss."""
         for k in range(1, self.max_degree + 1):
-            for w in self.per_degree[k]:
-                if w.element.degree != k or w.element.n != self.n:
-                    raise LibraryIntegrityError("degree or size mismatch in library")
-                _verify_witness(w.word, k, w.element.matrix)
+            if any(w.element.degree != k or w.element.n != self.n
+                   for w in self.per_degree[k]):
+                raise LibraryIntegrityError("degree or size mismatch in library")
             if self.coefficient_lattice(k) != g_lattice(self.n, k):
                 raise LibraryIntegrityError(f"degree {k} no longer spans")
         for k, ind in self.inductors.items():
             if ind.element.matrix != _induction_target(self.n):
                 raise LibraryIntegrityError(f"inductor at degree {k} has the "
                                             "wrong coefficient")
-            _verify_witness(ind.word, k, ind.element.matrix)
+        for k, w in self._stored():
+            if _coefficient(w.word, k) != w.element.matrix:
+                raise LibraryIntegrityError(f"stored degree-{k} word has a "
+                                            "different coefficient than recorded")
         self.verify_induction()
 
     def verify_induction(self) -> None:
@@ -168,22 +180,9 @@ class WitnessLibrary:
         X_24 - X_25 must land on X_24 - X_25 modulo 2 G_{k+2}."""
         target = _induction_target(self.n)
         shift = _a25sq_a45(self.n)
-        for k in (3, 5):
-            if k > self.max_degree:
-                continue
-            pool = list(self.per_degree.get(k, []))
-            if k in self.inductors:
-                pool.append(self.inductors[k])
-            seen: set = set()
-            for w in pool:
-                if w.element.matrix != target or id(w) in seen:
-                    continue
-                seen.add(id(w))
-                out = burau_eval_trunc(commutator(shift, w.word), k + 3)
-                if out.depth_bound() < k + 2:
-                    raise LibraryIntegrityError(
-                        f"induction from degree {k} lost depth")
-                diff = out.coefficient(k + 2) - target
+        for k, w in self._stored():
+            if k in (3, 5) and k <= self.max_degree and w.element.matrix == target:
+                diff = _coefficient(commutator(shift, w.word), k + 2) - target
                 if not _two_g_lattice(self.n, k + 2).contains(diff.vec()):
                     raise LibraryIntegrityError(
                         f"induction from degree {k} misses the congruence")
@@ -258,7 +257,8 @@ def _degree_candidates(n: int, k: int, per_degree: dict[int, list[Witness]],
     Predictions cost no matrix evaluation: conjugates transform the leading
     coefficient by the permutation action exactly, and a commutator against
     a depth-1 word brackets the leading coefficients exactly.  Every
-    accepted candidate is re-evaluated before storage.
+    accepted candidate is re-evaluated by `WitnessLibrary.verify` once the
+    library is built.
     """
     if k == 1:
         for i, j in _pairs(n):
@@ -289,22 +289,21 @@ def _degree_candidates(n: int, k: int, per_degree: dict[int, list[Witness]],
                 yield pred, commutator(pure_gen(n, i, j), w.word)
 
 
-def build_witness_library(n: int, max_degree: int, *,
-                          n_cap: int = MAX_N,
-                          degree_cap: int = MAX_DEGREE) -> WitnessLibrary:
+def build_witness_library(n: int, max_degree: int) -> WitnessLibrary:
     """Build and certify a witness library for n strands up to max_degree.
 
-    The caps are soft runtime guards, overridable per call.  Raises
-    SpanFailure when a degree cannot be spanned (always the case for
-    n < 5; degree 3 needs the full orbit of a two-pair difference).
+    Supports n <= MAX_N and max_degree <= MAX_DEGREE.  Raises SpanFailure
+    when a degree cannot be spanned (always the case for n < 5; degree 3
+    needs the full orbit of a two-pair difference), and
+    LibraryIntegrityError when `WitnessLibrary.verify` rejects the result.
     """
     if n < 2:
         raise ValueError("need at least 2 strands")
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
-    if n > n_cap or max_degree > degree_cap:
-        raise ValueError(f"n={n}, K={max_degree} exceeds caps ({n_cap}, "
-                         f"{degree_cap}); raise n_cap/degree_cap to override")
+    if n > MAX_N or max_degree > MAX_DEGREE:
+        raise ValueError(f"n={n}, K={max_degree} is outside the supported "
+                         f"range n <= {MAX_N}, K <= {MAX_DEGREE}")
 
     per_degree: dict[int, list[Witness]] = {}
     inductors: dict[int, Witness] = {}
@@ -319,16 +318,7 @@ def build_witness_library(n: int, max_degree: int, *,
         raw_inductor = None
         if k % 2 == 1 and k >= 5:
             word = commutator(_a25sq_a45(n), inductors[k - 2].word)
-            m = burau_eval_trunc(word, k + 1)
-            if m.depth_bound() < k:
-                raise LibraryIntegrityError(f"induction word at degree {k} "
-                                            f"has depth {m.depth_bound()}")
-            coeff = m.coefficient(k)
-            diff = coeff - _induction_target(n)
-            if not _two_g_lattice(n, k).contains(diff.vec()):
-                raise LibraryIntegrityError(
-                    f"induction congruence fails at degree {k}")
-            raw_inductor = Witness(word, GradedElement(k, coeff))
+            raw_inductor = Witness(word, GradedElement(k, _coefficient(word, k)))
 
         target = g_lattice(n, k)
         chosen: list[Witness] = []
@@ -340,7 +330,6 @@ def build_witness_library(n: int, max_degree: int, *,
                 break
             if pred.is_zero() or span.contains(pred.vec()):
                 continue
-            _verify_witness(word, k, pred)
             chosen.append(Witness(word, GradedElement(k, pred)))
             vecs.append(pred.vec())
             span = IntLattice(dim, vecs)
@@ -348,27 +337,19 @@ def build_witness_library(n: int, max_degree: int, *,
             raise SpanFailure(k)
         per_degree[k] = chosen
 
-        if k == 3:
-            word = commutator(alpha_word(n), gen(n, 4))
-            m = burau_eval_trunc(word, 4)
-            if m.depth_bound() != 3 or m.coefficient(3) != _induction_target(n):
-                raise LibraryIntegrityError("depth-3 inductor has the wrong "
-                                            "coefficient")
-            ind = Witness(word, GradedElement(3, _induction_target(n)))
-            inductors[3] = ind
-            per_degree[3].append(ind)
-        elif k % 2 == 1 and k >= 5:
-            lib_sofar = WitnessLibrary(n, k, per_degree, {})
-            diff = raw_inductor.element.matrix - _induction_target(n)
-            corr = solve_in_degree(lib_sofar, GradedElement(k, diff))
-            word = concat(raw_inductor.word, corr.inverse())
-            _verify_witness(word, k, _induction_target(n))
-            ind = Witness(word, GradedElement(k, _induction_target(n)))
-            inductors[k] = ind
-            per_degree[k].append(ind)
+        if k % 2 == 1 and k >= 3:
+            if k == 3:
+                word = commutator(alpha_word(n), gen(n, 4))
+            else:
+                diff = raw_inductor.element.matrix - _induction_target(n)
+                corr = solve_in_degree(WitnessLibrary(n, k, per_degree, {}),
+                                       GradedElement(k, diff))
+                word = concat(raw_inductor.word, corr.inverse())
+            inductors[k] = Witness(word, GradedElement(k, _induction_target(n)))
+            per_degree[k].append(inductors[k])
 
     lib = WitnessLibrary(n, max_degree, per_degree, inductors)
-    lib.verify_induction()
+    lib.verify()
     return lib
 
 
@@ -510,7 +491,6 @@ def approximate(gamma: GammaElement | LaurentMatrix, max_degree: int | None = No
         steps.append(StepRecord(k, tuple(coeffs), residual.depth_bound()))
 
     achieved: int | float = residual.depth_bound()
-    assert achieved >= max_degree + 1
 
     run_exact = exact_check if exact_check is not None else max_degree <= 4
     if run_exact or node_count(word) <= 1:

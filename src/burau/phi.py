@@ -236,30 +236,33 @@ def w_prime(w: GradedElement, k: int) -> tuple[tuple[Fraction, ...], ...]:
     unitarity); entries are half-integers, genuinely so for some w, e.g.
     w = X_24 - X_25 at n = 5, k = 2, where u = (0, 1/2, 0, 1, -3/2).
     """
-    plus = reconstruct_plus(w, k)
-    n = w.n
+    return _w_prime(reconstruct_plus(w, k)).rows
+
+
+def _w_prime(plus: Sequence[Sequence[Fraction]]) -> RatMatrix:
+    n = len(plus)
     u = [-sum(plus[i][j] for i in range(n)) for j in range(n)]
     if sum(u) != 0:
         raise HalfIntegralityViolation("column-sum vector does not total zero")
-    return _banded_skew(u).rows
+    return _banded_skew(u)
 
 
-def _fractional_class_rep(w: GradedElement, k: int) -> RatMatrix:
+def _fractional_class_rep(plus: Sequence[Sequence[Fraction]],
+                          wp: RatMatrix) -> RatMatrix:
     """Canonical skew, zero-row-sum matrix in the fractional class of
-    (the skew part of (omega)_2k) - w_prime(w, k).
+    (the skew part of (omega)_2k) - w_prime(w, k), given the symmetric part
+    plus = reconstruct_plus(w, k) and wp = w_prime(w, k).
 
     The half-integer positions of the skew part coincide with those of the
     symmetric part (their sum is integral), so the class is visible from w;
     the true difference then lies in this representative plus G_2k, which
     is what lets phi_from_w land in the right coset.
     """
-    n = w.n
-    plus = reconstruct_plus(w, k)
-    wp = w_prime(w, k)
+    n = len(plus)
     f = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            if (plus[i][j] - wp[i][j]).denominator == 2:
+            if (plus[i][j] - wp.rows[i][j]).denominator == 2:
                 f[i][j] = Fraction(1, 2)
                 f[j][i] = Fraction(-1, 2)
     rows = [sum(row) for row in f]
@@ -274,8 +277,7 @@ def _fractional_class_rep(w: GradedElement, k: int) -> RatMatrix:
 
 
 def _expansion_term(n: int, pair: tuple[int, int], w: IntMatrix,
-                    omega_2k: IntMatrix | RatMatrix,
-                    k: int) -> IntMatrix | RatMatrix:
+                    omega_2k: IntMatrix | RatMatrix) -> IntMatrix | RatMatrix:
     """One summand of the expansion path, exact in the ring of omega_2k."""
     ring = type(omega_2k)
     x = ring(gen_x(*pair, n).matrix.rows)
@@ -319,7 +321,7 @@ def phi_eval(a: KernelElement, verify: bool = True,
         total = IntMatrix.zero(n)
         for t, m in zip(a.terms, omega_mats):
             total = total + _expansion_term(n, t.pair, t.w.matrix,
-                                            m.coefficient(2 * k), k)
+                                            m.coefficient(2 * k))
         if total != rep:
             raise AssertionError("expansion path disagrees with direct path")
 
@@ -349,8 +351,10 @@ def phi_from_w(a: KernelElement, target_degree: int | None = None,
     n, k = a.n, a.half_degree
     total = RatMatrix.zero(n)
     for t in a.terms:
-        skew = RatMatrix(w_prime(t.w, k)) + _fractional_class_rep(t.w, k)
-        total = total + _expansion_term(n, t.pair, t.w.matrix, skew, k)
+        plus = reconstruct_plus(t.w, k)
+        wp = _w_prime(plus)
+        skew = wp + _fractional_class_rep(plus, wp)
+        total = total + _expansion_term(n, t.pair, t.w.matrix, skew)
     try:
         rep = ((total + total.transpose()) * Fraction(1, 2)).to_int()
     except ValueError as exc:

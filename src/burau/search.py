@@ -13,9 +13,10 @@ the configured bound.
 Evaluation runs in the truncated ring.  The hot path multiplies whole leaf
 batches of the terms' coefficient stacks at once with `linalg.trunc_mul`.
 The batches are int64 when an a-priori bound on every product's entries
-fits, and exact Python integers (object dtype) otherwise.  Every reported
-hit is rechecked through the exact integer path, plus an exact Laurent
-evaluation for short words.
+fits, and exact Python integers (object dtype) otherwise.  Every raw hit is
+rechecked once, apart from the scan: exactly for words within `exact_cap`
+letters (the scan's depth is below the precision, so this implies the
+truncated check), truncated beyond it.
 """
 
 from __future__ import annotations
@@ -55,8 +56,10 @@ class SearchConfig:
             raise ValueError("pool words disagree with n")
         if self.precision <= target_depth:
             raise ValueError("precision must exceed target_depth")
-        if target_depth < 1 or max_terms < 1 or max_nesting < 0:
-            raise ValueError("bounds must be positive")
+        if (target_depth < 1 or max_terms < 1 or result_cap < 1
+                or min(max_nesting, exact_cap, budget or 0) < 0):
+            raise ValueError("bounds must be positive (maxNesting, budget "
+                             "and exactCap non-negative)")
 
     def to_json(self) -> dict:
         return {"n": self.n, "targetDepth": self.target_depth,
@@ -248,12 +251,15 @@ def search_deep(cfg: SearchConfig) -> SearchOutcome:
     seen: set[tuple[int, ...]] = set()
     for index, seq, depth in raw_hits:
         word = concat(*seq)
-        m = burau_eval_trunc(word, precision)
-        if m.depth_bound() != depth:
-            raise AssertionError("batched evaluation disagrees with recheck")
         if letter_bound(word) <= cfg.exact_cap:
-            if burau_eval(word).depth() != depth:
-                raise AssertionError("exact depth disagrees with truncated")
+            exact = burau_eval(word)
+            if exact.depth() != depth:
+                raise AssertionError("exact depth disagrees with the scan")
+            m = exact.truncate(depth + 1)
+        else:
+            m = burau_eval_trunc(word, precision)
+            if m.depth_bound() != depth:
+                raise AssertionError("batched evaluation disagrees with recheck")
         leading = GradedElement(depth, m.coefficient(depth))
         key = orbit_key(leading)
         if key in seen:

@@ -412,6 +412,24 @@ def test_coeff_degree_zero_is_a_usage_error():
     assert error_kind(err) == "UsageError"
 
 
+def test_negative_search_budget_is_a_usage_error():
+    code, _, err = run(["search", "--alpha", "--budget", "-5"])
+    assert code == 2
+    assert error_kind(err) == "UsageError"
+
+
+def test_nonpositive_counts_are_usage_errors(tmp_path):
+    gamma = tmp_path / "gamma.json"
+    gamma.write_text(json.dumps(burau_eval(parse_word("A13", N)).to_json()))
+    gamma, out = str(gamma), str(tmp_path / "lib.json")
+    for argv in (["approximate", "--gamma", gamma, "--k", "0"],
+                 ["approximate", "--gamma", gamma, "--k", "-1"],
+                 ["library-build", "--out", out, "--max-degree", "0"]):
+        code, _, err = run(argv)
+        assert code == 2
+        assert error_kind(err) == "UsageError"
+
+
 def test_exact_check_flags_exclude_each_other(tmp_path):
     path = tmp_path / "gamma.json"
     path.write_text(json.dumps(burau_eval(parse_word("A13", N)).to_json()))

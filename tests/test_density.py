@@ -11,6 +11,7 @@ import math
 
 import pytest
 
+from burau import density
 from burau.density import (LibraryIntegrityError, NoSolution, NotInGamma,
                            SpanFailure, WitnessLibrary, approximate,
                            build_witness_library, default_library,
@@ -95,6 +96,25 @@ def test_build_caps():
         build_witness_library(1, 1)
 
 
+def test_build_caps_name_the_supported_range():
+    with pytest.raises(ValueError, match=r"n <= 8, K <= 6"):
+        build_witness_library(9, 2)
+
+
+def test_build_is_certified_by_verify(monkeypatch):
+    # a wrong prediction is stored as the witness's coefficient; the build
+    # trusts predictions, so only its closing verify() can catch it
+    real = density._degree_candidates
+
+    def tampered(n, k, *rest):
+        for i, (pred, word) in enumerate(real(n, k, *rest)):
+            yield (-pred if (k, i) == (2, 0) else pred), word
+
+    monkeypatch.setattr(density, "_degree_candidates", tampered)
+    with pytest.raises(LibraryIntegrityError):
+        build_witness_library(N, 3)
+
+
 def test_witness_degree_range():
     lib = default_library(N, 4)
     with pytest.raises(ValueError):
@@ -145,6 +165,18 @@ def test_verify_catches_wrong_inductor():
 
 def test_verify_induction_alone():
     default_library(N, 3).verify_induction()
+
+
+def test_verify_evaluates_each_witness_once(monkeypatch):
+    lib = build_witness_library(N, 5)
+    words = []
+    real = density.burau_eval_trunc
+    monkeypatch.setattr(density, "burau_eval_trunc",
+                        lambda w, p: words.append(w) or real(w, p))
+    lib.verify()
+    # each listed witness once (the inductors are listed among their
+    # degree's witnesses), plus the induction words from degrees 3 and 5
+    assert len(words) == sum(len(lib.witnesses(k)) for k in range(1, 6)) + 2
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ generator combinations they must equal.
 
 import pytest
 
+from burau import search
 from burau.liealg import gen_x, gen_y
+from burau.linalg import TruncMatrix
 from burau.search import (SearchConfig, alpha_search_config,
                           delta_search_config, search_deep)
 from burau.words import (Power, alpha_word, commutator, delta_word, flatten,
@@ -138,6 +140,36 @@ def test_exact_cap_zero_skips_nothing_visible():
     assert [h.index for h in out.hits] == [2]
 
 
+def test_hits_within_exact_cap_get_no_truncated_recheck(monkeypatch):
+    cfg = delta_search_config(budget=30)
+    terms = sum(len(level) for level in search._terms_by_size(cfg))
+    words = []
+    real = search.burau_eval_trunc
+    monkeypatch.setattr(search, "burau_eval_trunc",
+                        lambda w, p: words.append(w) or real(w, p))
+    out = search_deep(cfg)
+    assert [h.index for h in out.hits] == [21, 22]
+    # one evaluation per term table entry, none per hit
+    assert len(words) == terms
+
+
+def test_truncated_recheck_beyond_exact_cap_still_guards(monkeypatch):
+    cfg = SearchConfig(5, 3, [pure_gen(5, 1, 3), pure_gen(5, 2, 4)],
+                       max_nesting=1, max_terms=1, precision=4, exact_cap=0)
+    terms = sum(len(level) for level in search._terms_by_size(cfg))
+    real = search.burau_eval_trunc
+    calls = []
+
+    def lying(w, p):
+        # the term tables are honest; every recheck after them is not
+        calls.append(w)
+        return real(w, p) if len(calls) <= terms else TruncMatrix.identity(w.n, p)
+
+    monkeypatch.setattr(search, "burau_eval_trunc", lying)
+    with pytest.raises(AssertionError, match="disagrees with recheck"):
+        search_deep(cfg)
+
+
 def test_result_cap_truncates_hits():
     cfg = delta_search_config(budget=60)
     capped = SearchConfig.from_json({**cfg.to_json(), "resultCap": 1})
@@ -191,3 +223,13 @@ def test_config_validation():
         SearchConfig(5, 3, [pure_gen(5, 1, 2)], precision=3)
     with pytest.raises(ValueError):
         SearchConfig(5, 0, [pure_gen(5, 1, 2)])
+
+
+def test_config_bounds():
+    pool = [pure_gen(5, 1, 2), pure_gen(5, 1, 3), pure_gen(5, 2, 3)]
+    # result_cap 0 used to report one hit, and negative counts were accepted
+    for bad in ({"result_cap": 0}, {"budget": -1}, {"exact_cap": -1}):
+        with pytest.raises(ValueError):
+            SearchConfig(5, 2, pool, max_nesting=1, **bad)
+    out = search_deep(SearchConfig(5, 2, pool, max_nesting=1, budget=0))
+    assert (out.candidates, out.budget_exhausted, out.hits) == (0, True, [])
