@@ -194,8 +194,7 @@ def flagship_kernel_element(n: int) -> KernelElement:
 def phi_witness_independence(d: KernelElement, witness_choices) -> None:
     """phi of d is the same for every choice of witnesses, each checked
     against the expansion identity, and equals the witness-free value."""
-    values = [phi_eval(d.with_witnesses(ws), verify=True)
-              for ws in witness_choices]
+    values = [phi_eval(d.with_witnesses(ws)) for ws in witness_choices]
     for c in values:
         expect(c == values[0])
     expect(phi_from_w(d) == values[0])
@@ -281,9 +280,9 @@ def paper_checks(n: int, max_degree: int):
         ("bracket-lattices", lambda: bracket_lattices(n)),
         ("symmetric-reconstruction", lambda: symmetric_reconstruction(lib, rng)),
         ("banded-skew-sums", lambda: banded_skew_sums(n)),
-        # phi_eval(verify=True) raises unless the direct path and the
-        # expansion identity agree exactly
-        ("phi-expansion-identity", lambda: phi_eval(flagship, verify=True)),
+        # phi_eval raises unless the direct path and the expansion
+        # identity agree exactly
+        ("phi-expansion-identity", lambda: phi_eval(flagship)),
         ("phi-witness-independence",
          lambda: phi_witness_independence(flagship, [ws, [alt, *ws[1:]]])),
         ("phi-coset-value", lambda: phi_coset_value(flagship, target)),

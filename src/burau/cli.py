@@ -5,8 +5,9 @@ unless --human is passed, in which case matrices and tables are rendered
 for reading.  Exit codes: 0 success, 1 domain failure (a membership check
 failed, a target was unreachable, a verification missed), 2 usage or
 parse errors, 3 an internal invariant failed (two exact computations of
-one value disagreed: a bug, never a property of the input).  An error
-that ends a command prints one JSON line {"error", "kind"} on stderr.
+one value disagreed: a bug, never a property of the input).  Sizes and
+degrees beyond what the witness libraries support are usage errors.  An
+error that ends a command prints one JSON line {"error", "kind"} on stderr.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import sys
 import time
 
 from .checks import paper_checks
-from .density import (LibraryIntegrityError, NoSolution, NotInGamma,
+from .density import (MAX_DEGREE, MAX_N, DepthRegression,
+                      LibraryIntegrityError, NoSolution, NotInGamma,
                       SpanFailure, WitnessLibrary, approximate,
                       build_witness_library)
 from .liealg import GradedElement, g_bracket
@@ -92,25 +94,29 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _load_matrix(path: str) -> LaurentMatrix:
-    data = _load_json(path)
-    if isinstance(data, dict) and "matrix" in data:
-        data = data["matrix"]
-    try:
-        return LaurentMatrix.from_json(data)
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
-        raise UsageError(f"{path} holds no matrix: {exc!r}") from exc
-
-
 def _decode(source: str, decode, data):
-    """decode(data), with a missing or mistyped field reported as a
-    UsageError that names the file or argument it came from."""
+    """decode(data), with a missing, mistyped or out-of-range field
+    reported as a UsageError that names the file or argument it came from."""
     try:
         return decode(data)
     except KeyError as exc:
         raise UsageError(f"{source} lacks the field {exc}") from exc
-    except (TypeError, AttributeError) as exc:
+    except (TypeError, AttributeError, ValueError) as exc:
         raise UsageError(f"{source} is malformed: {exc}") from exc
+
+
+def _load_matrix(path: str) -> LaurentMatrix:
+    data = _load_json(path)
+    if isinstance(data, dict) and "matrix" in data:
+        data = data["matrix"]
+    return _decode(path, LaurentMatrix.from_json, data)
+
+
+def _supported(option: str, value: int, bound: int) -> None:
+    """Refuse a size or degree beyond what the witness libraries support."""
+    if value > bound:
+        raise UsageError(f"{option} {value} is outside the supported range "
+                         f"{option} <= {bound}")
 
 
 def _graded_arg(text: str, name: str) -> GradedElement:
@@ -213,6 +219,8 @@ def cmd_bracket(args) -> int:
 
 
 def cmd_library_build(args) -> int:
+    _supported("--n", args.n, MAX_N)
+    _supported("--max-degree", args.max_degree, MAX_DEGREE)
     t0 = time.time()
     lib = build_witness_library(args.n, args.max_degree)
     lib.save(args.out)
@@ -242,6 +250,8 @@ def cmd_approximate(args) -> int:
     library = None
     if args.library is not None:
         library = _load_library(args.library, args.trust)
+    else:
+        _supported("--k", args.k, MAX_DEGREE)
     res = approximate(matrix, args.k, library=library,
                       exact_check=args.exact_check)
     payload = {"command": "approximate", **res.to_json()}
@@ -286,6 +296,8 @@ def cmd_verify_paper(args) -> int:
                          "strands")
     if args.max_degree < 3:
         raise UsageError("verify-paper needs --max-degree >= 3")
+    _supported("--n", args.n, MAX_N)
+    _supported("--max-degree", args.max_degree, MAX_DEGREE)
     ok = True
     for name, fn in paper_checks(args.n, args.max_degree):
         t0 = time.time()
@@ -423,7 +435,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, UsageError, json.JSONDecodeError, FileNotFoundError) as exc:
         return _report(exc, 2)
     except (NotInGamma, NoSolution, SpanFailure, DepthTooSmall,
-            LibraryIntegrityError, IndexOutOfRange, ValueError) as exc:
+            DepthRegression, LibraryIntegrityError, IndexOutOfRange,
+            ValueError) as exc:
         return _report(exc, 1)
     except AssertionError as exc:
         return _report(exc, 3)

@@ -147,14 +147,6 @@ class WitnessLibrary:
 
     # -- verification ------------------------------------------------------
 
-    def _stored(self) -> list[tuple[int, Witness]]:
-        """(degree, witness) for every stored Witness object, each once; a
-        built library lists its inductors among their degree's witnesses."""
-        listed = [(k, w) for k in range(1, self.max_degree + 1)
-                  for w in self.per_degree[k]]
-        return listed + [(k, w) for k, w in self.inductors.items()
-                         if w not in self.per_degree.get(k, ())]
-
     def verify(self) -> None:
         """Recompute every stored coefficient and every spanning and
         induction certificate; raise LibraryIntegrityError on any miss."""
@@ -168,20 +160,25 @@ class WitnessLibrary:
             if ind.element.matrix != _induction_target(self.n):
                 raise LibraryIntegrityError(f"inductor at degree {k} has the "
                                             "wrong coefficient")
-        for k, w in self._stored():
-            if _coefficient(w.word, k) != w.element.matrix:
-                raise LibraryIntegrityError(f"stored degree-{k} word has a "
-                                            "different coefficient than recorded")
+        for k in range(1, self.max_degree + 1):
+            for w in self.per_degree[k]:
+                if _coefficient(w.word, k) != w.element.matrix:
+                    raise LibraryIntegrityError(
+                        f"stored degree-{k} word has a different coefficient "
+                        "than recorded")
         self.verify_induction()
 
     def verify_induction(self) -> None:
         """Check the odd-degree step on every stored word it could consume:
         bracketing A_25^2 A_45 against a depth-k word with coefficient
-        X_24 - X_25 must land on X_24 - X_25 modulo 2 G_{k+2}."""
+        X_24 - X_25 must land on X_24 - X_25 modulo 2 G_{k+2}.  The
+        inductors are listed among their degree's witnesses."""
         target = _induction_target(self.n)
         shift = _a25sq_a45(self.n)
-        for k, w in self._stored():
-            if k in (3, 5) and k <= self.max_degree and w.element.matrix == target:
+        for k in (3, 5):
+            for w in self.per_degree.get(k, ()):
+                if w.element.matrix != target:
+                    continue
                 diff = _coefficient(commutator(shift, w.word), k + 2) - target
                 if not _two_g_lattice(self.n, k + 2).contains(diff.vec()):
                     raise LibraryIntegrityError(
@@ -207,10 +204,19 @@ class WitnessLibrary:
     def from_json(data: dict, trust: bool = False) -> "WitnessLibrary":
         n = json_int(data["n"], name="n")
         max_degree = json_int(data["maxDegree"], name="maxDegree")
-        per_degree = {k: [Witness.from_json(w, n) for w in data["degrees"][str(k)]]
+        degrees = data["degrees"]
+        per_degree = {k: [Witness.from_json(w, n) for w in degrees[str(k)]]
                       for k in range(1, max_degree + 1)}
-        inductors = {json_int(k, True, name="inductors"): Witness.from_json(w, n)
-                     for k, w in data.get("inductors", {}).items()}
+        # each inductor is stored again among its degree's witnesses; share
+        # that entry, so verify evaluates it once
+        inductors = {}
+        for key, entry in data.get("inductors", {}).items():
+            k = json_int(key, True, name="inductors")
+            listed = degrees[str(k)] if 1 <= k <= max_degree else []
+            if entry not in listed:
+                raise LibraryIntegrityError(f"inductor at degree {k} is not "
+                                            "among that degree's witnesses")
+            inductors[k] = per_degree[k][listed.index(entry)]
         lib = WitnessLibrary(n, max_degree, per_degree, inductors)
         if not trust:
             lib.verify()

@@ -42,6 +42,24 @@ def json_int(value, decimal_string: bool = False, name: str | None = None) -> in
     raise TypeError(f"{field}expected an integer, got {value!r}")
 
 
+def _format_terms(terms: Iterable[tuple[int, int]], var: str) -> str:
+    """Nonzero (exponent, coefficient) pairs, in the order given, as
+    ``3t^2 - t + 1``; "0" when there are none."""
+    text = ""
+    for e, v in terms:
+        mag = abs(v)
+        if e == 0:
+            body = str(mag)
+        else:
+            power = var if e == 1 else f"{var}^{e}"
+            body = power if mag == 1 else f"{mag}{power}"
+        if text:
+            text += f" {'-' if v < 0 else '+'} {body}"
+        else:
+            text = ("-" if v < 0 else "") + body
+    return text or "0"
+
+
 class LaurentPoly:
     """A Laurent polynomial in one variable t over Z.
 
@@ -233,24 +251,8 @@ class LaurentPoly:
     # -- presentation -------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._c:
-            return "0"
-        parts = []
-        for e in sorted(self._c, reverse=True):
-            v = self._c[e]
-            sign = "-" if v < 0 else "+"
-            mag = abs(v)
-            if e == 0:
-                body = str(mag)
-            else:
-                var = "t" if e == 1 else f"t^{e}"
-                body = var if mag == 1 else f"{mag}{var}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return _format_terms(((e, self._c[e])
+                              for e in sorted(self._c, reverse=True)), "t")
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self._c!r})"
@@ -361,26 +363,8 @@ class TruncSeries:
         return self.precision
 
     def __str__(self) -> str:
-        parts = []
-        for k, v in enumerate(self._c):
-            if not v:
-                continue
-            sign = "-" if v < 0 else "+"
-            mag = abs(v)
-            if k == 0:
-                body = str(mag)
-            else:
-                var = "s" if k == 1 else f"s^{k}"
-                body = var if mag == 1 else f"{mag}{var}"
-            parts.append((sign, body))
-        if not parts:
-            text = "0"
-        else:
-            first_sign, first_body = parts[0]
-            text = ("-" if first_sign == "-" else "") + first_body
-            for sign, body in parts[1:]:
-                text += f" {sign} {body}"
-        return f"{text} + O(s^{self.precision})"
+        terms = ((k, v) for k, v in enumerate(self._c) if v)
+        return f"{_format_terms(terms, 's')} + O(s^{self.precision})"
 
     def __repr__(self) -> str:
         return f"TruncSeries({self.precision}, {self._c!r})"

@@ -73,13 +73,6 @@ class KernelTerm:
         self.w = w
         self.witness = witness
 
-    def to_json(self) -> dict:
-        out = {"pair": list(self.pair), "W": self.w.to_json()}
-        if self.witness is not None:
-            from .words import word_format
-            out["witness"] = word_format(self.witness)
-        return out
-
 
 class KernelElement:
     """A validated element of the kernel of G_1 (x) G_{2k-1} -> G_2k."""
@@ -120,21 +113,6 @@ class KernelElement:
             raise ValueError("witness count mismatch")
         return KernelElement([KernelTerm(t.pair, t.w, w)
                               for t, w in zip(self.terms, witnesses)])
-
-    def to_json(self) -> dict:
-        return {"degree": self.degree, "terms": [t.to_json() for t in self.terms]}
-
-    @staticmethod
-    def from_json(data: dict, bindings=None) -> "KernelElement":
-        terms = []
-        for t in data["terms"]:
-            w = GradedElement.from_json(t["W"])
-            witness = None
-            if t.get("witness") is not None:
-                from .words import parse_word
-                witness = parse_word(t["witness"], w.n, bindings)
-            terms.append(KernelTerm(tuple(t["pair"]), w, witness))
-        return KernelElement(terms)
 
     def __repr__(self) -> str:
         return f"KernelElement(degree={self.degree}, terms={len(self.terms)})"
@@ -177,10 +155,6 @@ class CosetElement:
 
     def __hash__(self) -> int:
         raise TypeError("cosets are unhashable; compare with ==")
-
-    def to_json(self) -> dict:
-        return {"representative": self.representative.to_json(),
-                "modulus_rank": self.modulus.rank}
 
     def __repr__(self) -> str:
         return f"CosetElement(degree={self.degree})"
@@ -286,14 +260,12 @@ def _expansion_term(n: int, pair: tuple[int, int], w: IntMatrix,
     return x.commutator(omega_2k) + a2.commutator(w) + w.commutator(x) * x
 
 
-def phi_eval(a: KernelElement, verify: bool = True,
-             modulus: IntLattice | None = None) -> CosetElement:
+def phi_eval(a: KernelElement) -> CosetElement:
     """phi of a kernel element carrying witnesses.
 
-    Evaluates the product of commutators directly; in verify mode (the
-    default) also evaluates the expansion path and insists the two agree
-    as exact matrices.  Raises DepthViolation when a witness fails its
-    depth or coefficient claim.
+    Evaluates the product of commutators directly, then the expansion path,
+    and insists the two agree as exact matrices.  Raises DepthViolation
+    when a witness fails its depth or coefficient claim.
     """
     n, k = a.n, a.half_degree
     if any(t.witness is None for t in a.terms):
@@ -317,20 +289,17 @@ def phi_eval(a: KernelElement, verify: bool = True,
                              "kernel data and witnesses are inconsistent")
     rep = value.coefficient(2 * k + 1)
 
-    if verify:
-        total = IntMatrix.zero(n)
-        for t, m in zip(a.terms, omega_mats):
-            total = total + _expansion_term(n, t.pair, t.w.matrix,
-                                            m.coefficient(2 * k))
-        if total != rep:
-            raise AssertionError("expansion path disagrees with direct path")
-
-    mod = modulus if modulus is not None else coset_modulus(n, k)
-    return CosetElement(GradedElement(2 * k + 1, rep), mod)
+    total = IntMatrix.zero(n)
+    for t, m in zip(a.terms, omega_mats):
+        total = total + _expansion_term(n, t.pair, t.w.matrix,
+                                        m.coefficient(2 * k))
+    if total != rep:
+        raise AssertionError("expansion path disagrees with direct path")
+    return CosetElement(GradedElement(2 * k + 1, rep), coset_modulus(n, k))
 
 
-def phi_from_w(a: KernelElement, target_degree: int | None = None,
-               modulus: IntLattice | None = None) -> CosetElement:
+def phi_from_w(a: KernelElement,
+               target_degree: int | None = None) -> CosetElement:
     """phi computed from the (pair, W) data alone, no witnesses.
 
     The witness-dependent part of the expansion enters only through the
@@ -360,5 +329,4 @@ def phi_from_w(a: KernelElement, target_degree: int | None = None,
     except ValueError as exc:
         raise HalfIntegralityViolation("phi value has non-integral "
                                        "entries") from exc
-    mod = modulus if modulus is not None else coset_modulus(n, k)
-    return CosetElement(GradedElement(2 * k + 1, rep), mod)
+    return CosetElement(GradedElement(2 * k + 1, rep), coset_modulus(n, k))

@@ -16,7 +16,7 @@ gamma_coeff extracts the leading coefficient as a GradedElement.
 from __future__ import annotations
 
 from .laurent import LaurentPoly, TruncSeries, ONE, ZERO, T, T_INV
-from .linalg import IntMatrix, LaurentMatrix, TruncMatrix
+from .linalg import LaurentMatrix, TruncMatrix
 from .liealg import GradedElement
 from .words import BraidWord, Perm, fold
 
@@ -113,16 +113,14 @@ def burau_eval_trunc(w: BraidWord, precision: int) -> TruncMatrix:
 class GammaElement:
     """A certified element of Gamma; equality is equality of matrices."""
 
-    __slots__ = ("matrix", "word")
+    __slots__ = ("matrix",)
 
-    def __init__(self, matrix: LaurentMatrix, word: BraidWord | None = None,
-                 *, _certified: bool = False):
+    def __init__(self, matrix: LaurentMatrix, *, _certified: bool = False):
         if not _certified:
             bad = _violations(matrix)
             if bad:
                 raise ValueError(f"matrix is not in Gamma: {bad}")
         self.matrix = matrix
-        self.word = word
 
     @property
     def n(self) -> int:
@@ -130,9 +128,6 @@ class GammaElement:
 
     def depth(self) -> int | float:
         return self.matrix.depth()
-
-    def coeff(self, k: int) -> IntMatrix:
-        return self.matrix.truncate(k + 1).coefficient(k)
 
     def permutation(self) -> Perm:
         return Perm(self.matrix.at_one().permutation_images())
@@ -144,26 +139,6 @@ class GammaElement:
 
     def __hash__(self) -> int:
         return hash(self.matrix)
-
-    def to_json(self) -> dict:
-        out = self.matrix.to_json()
-        if self.word is not None:
-            from .words import word_format
-            out["word"] = word_format(self.word)
-        return out
-
-    @staticmethod
-    def from_json(data: dict, n: int | None = None,
-                  bindings=None) -> "GammaElement":
-        mat = LaurentMatrix.from_json(data)
-        word = None
-        if data.get("word") is not None:
-            from .words import parse_word
-            word = parse_word(data["word"], mat.n, bindings)
-        checked = gamma_check(mat, word=word)
-        if isinstance(checked, GammaReport):
-            raise ValueError(f"matrix is not in Gamma: {checked.violations}")
-        return checked
 
     def __repr__(self) -> str:
         return f"GammaElement(n={self.n}, depth={self.depth()})"
@@ -206,8 +181,7 @@ def _violations(matrix: LaurentMatrix) -> list[str]:
     return bad
 
 
-def gamma_check(matrix: LaurentMatrix,
-                word: BraidWord | None = None) -> GammaElement | GammaReport:
+def gamma_check(matrix: LaurentMatrix) -> GammaElement | GammaReport:
     """Certify membership in Gamma, or report every violated condition.
 
     Exact input only: a truncation can witness failure but never certify
@@ -216,7 +190,7 @@ def gamma_check(matrix: LaurentMatrix,
     bad = _violations(matrix)
     if bad:
         return GammaReport(matrix, bad)
-    return GammaElement(matrix, word=word, _certified=True)
+    return GammaElement(matrix, _certified=True)
 
 
 def burau_gamma(w: BraidWord) -> GammaElement:
@@ -225,7 +199,7 @@ def burau_gamma(w: BraidWord) -> GammaElement:
     Images of words satisfy them identically (the test suite pins this on
     generators and on random words), so wrapping directly is sound.
     """
-    return GammaElement(burau_eval(w), word=w, _certified=True)
+    return GammaElement(burau_eval(w), _certified=True)
 
 
 def gamma_coeff(g: GammaElement | LaurentMatrix | BraidWord, k: int) -> GradedElement:

@@ -15,7 +15,7 @@ import tracemalloc
 
 import burau
 from burau.cli import main
-from burau.density import default_library
+from burau.density import MAX_DEGREE, MAX_N, default_library
 from burau.liealg import g_bracket, gen_x, gen_y
 from burau.laurent import LaurentPoly
 from burau.linalg import LaurentMatrix, SquareMatrix, TruncMatrix, perm_matrix
@@ -229,6 +229,24 @@ def test_library_verify_catches_corruption(tmp_path):
     assert error_kind(err) == "LibraryIntegrityError"
 
 
+def test_depth_regression_is_a_domain_failure(tmp_path):
+    # a trusted library whose first two degree-1 coefficients are swapped
+    # hands the approximation a correction that does not clear its degree
+    data = json.loads(json.dumps(default_library(N, 2).to_json()))
+    first, second = data["degrees"]["1"][:2]
+    first["element"], second["element"] = second["element"], first["element"]
+    lib = tmp_path / "lib.json"
+    lib.write_text(json.dumps(data))
+    gamma = tmp_path / "gamma.json"
+    g = burau_eval(parse_word("A12 A13^2 A24", N))
+    gamma.write_text(json.dumps(g.to_json()))
+    code, lines, err = run(["approximate", "--gamma", str(gamma), "--k", "2",
+                            "--library", str(lib), "--trust"])
+    assert code == 1
+    assert lines == []
+    assert error_kind(err) == "DepthRegression"
+
+
 def test_library_verify_missing_file(tmp_path):
     code, _, err = run(["library-verify", "--library",
                         str(tmp_path / "nope.json")])
@@ -430,6 +448,21 @@ def test_nonpositive_counts_are_usage_errors(tmp_path):
         assert error_kind(err) == "UsageError"
 
 
+def test_unsupported_sizes_are_usage_errors(tmp_path):
+    gamma = tmp_path / "gamma.json"
+    gamma.write_text(json.dumps(burau_eval(parse_word("A13", N)).to_json()))
+    gamma, out = str(gamma), str(tmp_path / "lib.json")
+    n, k = str(MAX_N + 1), str(MAX_DEGREE + 1)
+    for argv, option in (
+            (["library-build", "--out", out, "--n", n], "--n"),
+            (["library-build", "--out", out, "--max-degree", k],
+             "--max-degree"),
+            (["verify-paper", "--n", n], "--n"),
+            (["verify-paper", "--max-degree", k], "--max-degree"),
+            (["approximate", "--gamma", gamma, "--k", k], "--k")):
+        assert_usage_error(*run(argv), option, "supported range")
+
+
 def test_exact_check_flags_exclude_each_other(tmp_path):
     path = tmp_path / "gamma.json"
     path.write_text(json.dumps(burau_eval(parse_word("A13", N)).to_json()))
@@ -497,6 +530,22 @@ def test_library_without_degrees_is_a_usage_error(tmp_path):
     path.write_text(json.dumps({"n": 5}))
     assert_usage_error(*run(["library-verify", "--library", str(path)]),
                        str(path), "maxDegree")
+
+
+def test_search_config_with_out_of_range_field_is_a_usage_error(tmp_path):
+    good = {"n": 5, "targetDepth": 2, "pool": ["A12", "A13"], "precision": 3,
+            "budget": None}
+    path = tmp_path / "cfg.json"
+    for field in ("resultCap", "targetDepth"):
+        path.write_text(json.dumps({**good, field: 0}))
+        assert_usage_error(*run(["search", "--config", str(path)]), str(path))
+
+
+def test_graded_argument_off_the_lattice_is_a_usage_error():
+    a = '{"degree":1,"matrix":[[1,0,0],[0,1,-1],[0,-1,1]]}'
+    b = '{"degree":1,"matrix":[[0,0,0],[0,1,-1],[0,-1,1]]}'
+    assert_usage_error(*run(["bracket", "--a", a, "--b", b]),
+                       "--a", "sum to zero")
 
 
 def test_search_config_with_non_integer_field_is_a_usage_error(tmp_path):

@@ -163,6 +163,13 @@ def test_verify_catches_wrong_inductor():
         WitnessLibrary.from_json(data, trust=False)
 
 
+def test_inductor_must_be_listed_among_its_degree():
+    data = json.loads(json.dumps(default_library(N, 3).to_json()))
+    data["inductors"]["3"]["word"] = "s4 " + data["inductors"]["3"]["word"]
+    with pytest.raises(LibraryIntegrityError):
+        WitnessLibrary.from_json(data, trust=True)
+
+
 def test_verify_induction_alone():
     default_library(N, 3).verify_induction()
 
@@ -176,6 +183,17 @@ def test_verify_evaluates_each_witness_once(monkeypatch):
     lib.verify()
     # each listed witness once (the inductors are listed among their
     # degree's witnesses), plus the induction words from degrees 3 and 5
+    assert len(words) == sum(len(lib.witnesses(k)) for k in range(1, 6)) + 2
+
+
+def test_verify_of_a_loaded_library_evaluates_each_witness_once(monkeypatch):
+    data = json.loads(json.dumps(default_library(N, 5).to_json()))
+    lib = WitnessLibrary.from_json(data, trust=True)
+    words = []
+    real = density.burau_eval_trunc
+    monkeypatch.setattr(density, "burau_eval_trunc",
+                        lambda w, p: words.append(w) or real(w, p))
+    lib.verify()
     assert len(words) == sum(len(lib.witnesses(k)) for k in range(1, 6)) + 2
 
 
