@@ -20,7 +20,7 @@ import sys
 import time
 
 from .checks import paper_checks
-from .density import (MAX_DEGREE, MAX_N, DepthRegression,
+from .density import (MAX_DEGREE, MAX_N, MIN_N, DepthRegression,
                       LibraryIntegrityError, NoSolution, NotInGamma,
                       SpanFailure, WitnessLibrary, approximate,
                       build_witness_library)
@@ -112,11 +112,11 @@ def _load_matrix(path: str) -> LaurentMatrix:
     return _decode(path, LaurentMatrix.from_json, data)
 
 
-def _supported(option: str, value: int, bound: int) -> None:
-    """Refuse a size or degree beyond what the witness libraries support."""
-    if value > bound:
+def _supported(option: str, value: int, high: int, low: int = 1) -> None:
+    """Refuse a size or degree outside what the witness libraries support."""
+    if not low <= value <= high:
         raise UsageError(f"{option} {value} is outside the supported range "
-                         f"{option} <= {bound}")
+                         f"{low}..{high}")
 
 
 def _graded_arg(text: str, name: str) -> GradedElement:
@@ -219,7 +219,7 @@ def cmd_bracket(args) -> int:
 
 
 def cmd_library_build(args) -> int:
-    _supported("--n", args.n, MAX_N)
+    _supported("--n", args.n, MAX_N, MIN_N)
     _supported("--max-degree", args.max_degree, MAX_DEGREE)
     t0 = time.time()
     lib = build_witness_library(args.n, args.max_degree)
@@ -252,6 +252,7 @@ def cmd_approximate(args) -> int:
         library = _load_library(args.library, args.trust)
     else:
         _supported("--k", args.k, MAX_DEGREE)
+        _supported("--gamma strand count", matrix.n, MAX_N, MIN_N)
     res = approximate(matrix, args.k, library=library,
                       exact_check=args.exact_check)
     payload = {"command": "approximate", **res.to_json()}

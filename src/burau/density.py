@@ -44,6 +44,7 @@ from .words import (BraidWord, Perm, Power, all_perms, alpha_word, commutator,
                     concat, empty_word, flatten, gen, node_count, parse_word,
                     perm_lift, pure_gen, word_format)
 
+MIN_N = 2
 MAX_N = 8
 MAX_DEGREE = 6
 
@@ -298,13 +299,13 @@ def _degree_candidates(n: int, k: int, per_degree: dict[int, list[Witness]],
 def build_witness_library(n: int, max_degree: int) -> WitnessLibrary:
     """Build and certify a witness library for n strands up to max_degree.
 
-    Supports n <= MAX_N and max_degree <= MAX_DEGREE.  Raises SpanFailure
-    when a degree cannot be spanned (always the case for n < 5; degree 3
-    needs the full orbit of a two-pair difference), and
+    Supports MIN_N <= n <= MAX_N and max_degree <= MAX_DEGREE.  Raises
+    SpanFailure when a degree cannot be spanned (always the case for n < 5;
+    degree 3 needs the full orbit of a two-pair difference), and
     LibraryIntegrityError when `WitnessLibrary.verify` rejects the result.
     """
-    if n < 2:
-        raise ValueError("need at least 2 strands")
+    if n < MIN_N:
+        raise ValueError(f"need at least {MIN_N} strands")
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
     if n > MAX_N or max_degree > MAX_DEGREE:

@@ -615,21 +615,52 @@ class TruncMatrix:
         ks = np.flatnonzero(off.any(axis=(1, 2)))
         return int(ks[0]) if ks.size else self.precision
 
-    def inverse(self) -> "TruncMatrix":
-        """Inverse in the truncated ring via a Neumann series.
+    def __pow__(self, k: int) -> "TruncMatrix":
+        """A^k for any integer k.
 
-        The constant coefficient must be invertible over Z (determinant +-1);
-        for the matrices this package meets it is a permutation matrix.
+        A unipotent A = I + N (constant coefficient I) has N of s-valuation
+        v = depth_bound() >= 1, so N^j vanishes once j*v >= N and
+        A^k = sum of C(k, j) N^j over j < N/v: a binomial series that holds
+        for negative k too, as C(k, j) is an integer.  It stops early at
+        j > k when k >= 0, and makes fewer than N/v products whatever k
+        is.  Any other A squares and multiplies from the top bit of k >= 1;
+        k = 0 gives I, and k < 0 raises the inverse.
         """
-        prec = self.precision
-        head = self.coefficient(0)
-        head_inv = TruncMatrix.from_int(head.inverse(), prec)
-        m = head_inv * self - TruncMatrix.identity(self.n, prec)
-        # Horner form of I - M + M^2 - ...: X <- I - M X
-        x = TruncMatrix.identity(self.n, prec)
-        for _ in range(prec - 1):
-            x = TruncMatrix.identity(self.n, prec) - m * x
-        return x * head_inv
+        ident = TruncMatrix.identity(self.n, self.precision)
+        v = self.depth_bound()
+        if v:
+            nil = self - ident
+            out, term, c, j = ident, nil, 1, 1
+            while j * v < self.precision and (k < 0 or j <= k):
+                if j > 1:
+                    term = term * nil
+                c = c * (k - j + 1) // j
+                out = TruncMatrix._of(out.stack + c * term.stack)
+                j += 1
+            return out
+        if k < 0:
+            return self.inverse() ** -k
+        out = self if k else ident
+        for bit in bin(k)[3:]:
+            out = out * out
+            if bit == "1":
+                out = out * self
+        return out
+
+    def inverse(self) -> "TruncMatrix":
+        """Inverse in the truncated ring.
+
+        The constant coefficient H must be invertible over Z (determinant
+        +-1); for the matrices this package meets it is a permutation
+        matrix.  A unipotent matrix (H = I) is inverted by the binomial
+        series of ``self ** -1``; otherwise A^-1 = (H^-1 A)^-1 H^-1, whose
+        middle factor is unipotent.
+        """
+        if self.depth_bound():
+            return self ** -1
+        head_inv = TruncMatrix.from_int(self.coefficient(0).inverse(),
+                                        self.precision)
+        return (head_inv * self) ** -1 * head_inv
 
     def to_json(self) -> dict:
         return {"n": self.n, "precision": self.precision,

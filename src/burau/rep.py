@@ -66,12 +66,13 @@ def form_j(n: int) -> LaurentMatrix:
 # word evaluation
 
 
-def _evaluate(w: BraidWord, one, zero, t, t_inv, matrix):
+def _evaluate(w: BraidWord, one, zero, t, t_inv, matrix, power=None):
     """Image of a word over the ring with scalars one, zero, t and t^-1.
 
     ``matrix(rows)`` builds a matrix of that ring.  Literal runs are applied
     as column operations, so beta(sigma_i^+-1) is never multiplied out; the
     rest is the word fold, whose inverse flag means no matrix is inverted.
+    ``power`` is the fold's power hook (square and multiply unless given).
     """
     n = w.n
     one_minus_t = one - t
@@ -91,7 +92,7 @@ def _evaluate(w: BraidWord, one, zero, t, t_inv, matrix):
                 cols[i] = [x * t_inv + y * one_minus_t_inv for x, y in zip(a, b)]
         return matrix(list(zip(*cols)))
 
-    return fold(w, literal, literal(()))
+    return fold(w, literal, literal(()), power=power)
 
 
 def burau_eval(w: BraidWord) -> LaurentMatrix:
@@ -100,10 +101,16 @@ def burau_eval(w: BraidWord) -> LaurentMatrix:
 
 
 def burau_eval_trunc(w: BraidWord, precision: int) -> TruncMatrix:
-    """Image of a word in the ring truncated at s^precision."""
+    """Image of a word in the ring truncated at s^precision.
+
+    Powers go through ``TruncMatrix.__pow__``: the image of a pure braid is
+    unipotent there, so its power is a binomial series of a few products
+    however large the exponent.
+    """
     return _evaluate(w, TruncSeries.one(precision), TruncSeries.zero(precision),
                      T.to_series(precision), T_INV.to_series(precision),
-                     lambda rows: TruncMatrix(precision, rows))
+                     lambda rows: TruncMatrix(precision, rows),
+                     TruncMatrix.__pow__)
 
 
 # ---------------------------------------------------------------------------

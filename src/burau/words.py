@@ -282,19 +282,31 @@ def _mul_all(values: list) -> object:
 
 def fold(w: BraidWord, leaf: Callable[[Letters], V], one: V,
          product: Callable[[list[V]], V] = _mul_all,
-         memo: dict[tuple[int, bool], V] | None = None) -> V:
+         memo: dict[tuple[int, bool], V] | None = None,
+         power: Callable[[V, int], V] | None = None) -> V:
     """Evaluate w in a monoid, once per shared node and inverse flag.
 
     ``leaf(letters)`` is the value of a literal run, its letters already
     reversed and negated under an inverse; ``one`` is the identity;
     ``product(values)`` multiplies a non-empty list left to right (by ``*``
     unless given).  Inverses are pushed down to the leaves, so the monoid
-    needs no inversion.  Powers square and multiply from the exponent's top
-    bit.  Every node is folded, the child of a zero power too.  ``memo``,
-    when given, receives the value of every (id(node), inverse flag) folded;
-    ``w`` keeps every node alive for the walk, so no id is reused.
+    needs no inversion.  ``power(value, k)`` raises the value of a power's
+    child, under the inverse flag that the exponent's sign implies, to
+    k = |exponent| >= 0; unless given, it squares and multiplies through
+    ``product`` from the top bit of k.  Every node is folded, the child of
+    a zero power too.  ``memo``, when given, receives the value of every
+    (id(node), inverse flag) folded; ``w`` keeps every node alive for the
+    walk, so no id is reused.
     """
     memo = {} if memo is None else memo
+    if power is None:
+        def power(value: V, k: int) -> V:
+            out = value if k else one
+            for bit in bin(k)[3:]:
+                out = product([out, out])
+                if bit == "1":
+                    out = product([out, value])
+            return out
 
     def go(node: BraidWord, inv: bool) -> V:
         key = (id(node), inv)
@@ -312,12 +324,7 @@ def fold(w: BraidWord, leaf: Callable[[Letters], V], one: V,
             out = go(node.child, not inv)
         elif isinstance(node, Power):
             k = node.exponent
-            base = go(node.child, inv != (k < 0))
-            out = base if k else one
-            for bit in bin(abs(k))[3:]:
-                out = product([out, out])
-                if bit == "1":
-                    out = product([out, base])
+            out = power(go(node.child, inv != (k < 0)), abs(k))
         elif isinstance(node, Commutator):
             x, y = (node.right, node.left) if inv else (node.left, node.right)
             out = product([go(x, False), go(y, False), go(x, True), go(y, True)])

@@ -15,7 +15,7 @@ import tracemalloc
 
 import burau
 from burau.cli import main
-from burau.density import MAX_DEGREE, MAX_N, default_library
+from burau.density import MAX_DEGREE, MAX_N, MIN_N, default_library
 from burau.liealg import g_bracket, gen_x, gen_y
 from burau.laurent import LaurentPoly
 from burau.linalg import LaurentMatrix, SquareMatrix, TruncMatrix, perm_matrix
@@ -461,6 +461,22 @@ def test_unsupported_sizes_are_usage_errors(tmp_path):
             (["verify-paper", "--max-degree", k], "--max-degree"),
             (["approximate", "--gamma", gamma, "--k", k], "--k")):
         assert_usage_error(*run(argv), option, "supported range")
+
+
+def test_strand_counts_outside_the_libraries_are_usage_errors(tmp_path):
+    # the range is read from density, not from a copy of its bounds
+    gamma = tmp_path / "gamma.json"
+    wide = MAX_N + 1
+    gamma.write_text(json.dumps(burau_eval(parse_word("A13", wide)).to_json()))
+    supported = f"supported range {MIN_N}..{MAX_N}"
+    assert_usage_error(*run(["library-build", "--n", str(MIN_N - 1),
+                             "--max-degree", "2",
+                             "--out", str(tmp_path / "lib.json")]),
+                       f"--n {MIN_N - 1}", supported)
+    assert_usage_error(*run(["approximate", "--gamma", str(gamma),
+                             "--k", "2"]),
+                       f"--gamma strand count {wide}", supported)
+    assert not (tmp_path / "lib.json").exists()
 
 
 def test_exact_check_flags_exclude_each_other(tmp_path):

@@ -17,10 +17,10 @@ from burau.density import (LibraryIntegrityError, NoSolution, NotInGamma,
                            build_witness_library, default_library,
                            solve_in_degree)
 from burau.liealg import GradedElement, g_lattice, gen_x
-from burau.linalg import IntMatrix, LaurentMatrix, perm_matrix
+from burau.linalg import IntMatrix, LaurentMatrix, TruncMatrix, perm_matrix
 from burau.rep import burau_eval, burau_eval_trunc, burau_gamma, gamma_coeff
-from burau.words import (alpha_word, commutator, concat, delta_word, flatten,
-                         gen, parse_word, pure_gen)
+from burau.words import (Power, alpha_word, commutator, concat, delta_word,
+                         flatten, gen, parse_word, pure_gen)
 
 N = 5
 
@@ -195,6 +195,28 @@ def test_verify_of_a_loaded_library_evaluates_each_witness_once(monkeypatch):
                         lambda w, p: words.append(w) or real(w, p))
     lib.verify()
     assert len(words) == sum(len(lib.witnesses(k)) for k in range(1, 6)) + 2
+
+
+def test_witness_power_costs_no_products(monkeypatch):
+    # a depth-5 witness is I + N with N = 0 mod s^5, so at precision 7 its
+    # k-th power is I + kN for every k: no product beyond the witness's own
+    w = default_library(N, 5).witnesses(5)[0].word
+    count = [0]
+    real = TruncMatrix.__mul__
+
+    def counting(a, b):
+        count[0] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(TruncMatrix, "__mul__", counting)
+    plain = burau_eval_trunc(w, 7)
+    products = count[0]
+    count[0] = 0
+    powered = burau_eval_trunc(Power(N, w, 10 ** 40), 7)
+    assert count[0] == products
+    assert plain.depth_bound() == 5
+    nil = plain - TruncMatrix.identity(N, 7)
+    assert powered == TruncMatrix._of(plain.stack + (10 ** 40 - 1) * nil.stack)
 
 
 # ---------------------------------------------------------------------------

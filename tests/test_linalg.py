@@ -15,7 +15,8 @@ from burau.linalg import (IntLattice, IntMatrix, LaurentMatrix,
                           row_hnf)
 from burau.liealg import g_basis, gen_x, gen_y
 from burau.rep import burau_eval, burau_eval_trunc, burau_gen, form_j
-from burau.words import Perm, alpha_word, concat, gen, pure_gen
+from burau.words import (Perm, Power, alpha_word, commutator, concat, gen,
+                         pure_gen)
 
 
 def rand_word(rng, n, length):
@@ -228,11 +229,50 @@ def test_trunc_product_matches_exact():
 
 def test_trunc_inverse():
     rng = random.Random(207)
-    for _ in range(6):
-        w = rand_word(rng, 4, 5)
+    ident = TruncMatrix.identity(4, 6)
+    pure = [pure_gen(4, 1, 3),
+            commutator(pure_gen(4, 1, 2), pure_gen(4, 2, 4))]
+    for w in [rand_word(rng, 4, 5) for _ in range(6)] + pure:
         m = burau_eval_trunc(w, 6)
-        assert m * m.inverse() == TruncMatrix.identity(4, 6)
+        assert m * m.inverse() == ident and m.inverse() * m == ident
         assert m.inverse() == burau_eval(w).inverse().truncate(6)
+
+
+def square_and_multiply(m, k):
+    """m^k for k >= 0 from the top bit of k: the reference for ``**``."""
+    out = TruncMatrix.identity(m.n, m.precision)
+    for bit in bin(k)[2:]:
+        out = out * out
+        if bit == "1":
+            out = out * m
+    return out
+
+
+def test_trunc_power_of_pure_words_is_square_and_multiply():
+    # pure images are unipotent, so ** sums a binomial series
+    x, y, z = pure_gen(4, 1, 3), pure_gen(4, 2, 4), gen(4, 2)
+    cases = [(x, (0, 1, 2, 5, -1, -3, 10 ** 30, -10 ** 30)),
+             (commutator(x, y), (7, -7, 10 ** 30 + 1)),
+             (concat(z, y, z.inverse()), (3, -2, -10 ** 30 + 1))]
+    for p in range(1, 9):
+        for w, ks in cases:
+            m = burau_eval_trunc(w, p)
+            m_inv = burau_eval_trunc(w.inverse(), p)
+            for k in ks:
+                want = square_and_multiply(m if k >= 0 else m_inv, abs(k))
+                assert m ** k == want
+                assert burau_eval_trunc(Power(4, w, k), p) == want
+
+
+def test_trunc_power_of_permutation_heads_is_square_and_multiply():
+    rng = random.Random(209)
+    for p in (1, 3, 6):
+        for _ in range(3):
+            m = burau_eval_trunc(rand_word(rng, 4, 5), p)
+            assert m.depth_bound() == 0
+            for k in range(13):
+                assert m ** k == square_and_multiply(m, k)
+            assert m ** -3 == square_and_multiply(m.inverse(), 3)
 
 
 def test_depth_bound_saturates_at_precision():

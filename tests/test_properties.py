@@ -1,8 +1,9 @@
 """Property tests: truncation at t = 1 + s is a ring homomorphism, the
 braid relations hold inside any word, formatting a word then parsing it
 gives the same braid, the s-adic valuation counts factors of s = t - 1, the
-Laurent matrix product agrees with the entrywise schoolbook product, and HNF
-lattice solving is sound.
+Laurent matrix product agrees with the entrywise schoolbook product, HNF
+lattice solving is sound, and truncated powers and inverses agree with
+square and multiply.
 
 Generated words mix letters, powers, inverses and commutators.  The runs are
 derandomized, so every run checks the same examples.
@@ -14,10 +15,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from burau.laurent import S, LaurentPoly  # noqa: E402
-from burau.linalg import IntLattice, LaurentMatrix  # noqa: E402
+from burau.linalg import IntLattice, LaurentMatrix, TruncMatrix  # noqa: E402
 from burau.rep import burau_eval, burau_eval_trunc  # noqa: E402
 from burau.words import (Power, commutator, concat, gen, parse_word,  # noqa: E402
-                         word_format)
+                         pure_gen, word_format)
 
 N = 4
 
@@ -154,3 +155,54 @@ def test_lattice_solve_is_sound(case):
         assert coeffs is None
     elif coeffs is not None:
         assert combination(coeffs) == off
+
+
+# pure words hold no Power node, so their images and their inverses' images
+# are folded without ``TruncMatrix.__pow__``
+pure_words = st.recursive(
+    st.sampled_from([(i, j) for i in range(1, N) for j in range(i + 1, N + 1)]
+                    ).map(lambda ij: pure_gen(N, *ij)),
+    lambda inner: st.one_of(
+        st.tuples(inner, inner).map(lambda xy: commutator(*xy)),
+        st.tuples(inner, inner).map(lambda xy: concat(*xy)),
+        st.tuples(_letters, inner).map(
+            lambda cw: concat(cw[0], cw[1], cw[0].inverse()))),
+    max_leaves=4)
+
+exponents = st.one_of(st.integers(-12, 12),
+                      st.integers(-10 ** 30, 10 ** 30))
+
+
+def _square_and_multiply(m, k):
+    out = TruncMatrix.identity(m.n, m.precision)
+    for bit in bin(k)[2:]:
+        out = out * out
+        if bit == "1":
+            out = out * m
+    return out
+
+
+@_settings
+@given(pure_words, exponents, st.integers(1, 8))
+def test_unipotent_power_is_square_and_multiply(w, k, p):
+    m = burau_eval_trunc(w, p)
+    want = _square_and_multiply(
+        m if k >= 0 else burau_eval_trunc(w.inverse(), p), abs(k))
+    assert m ** k == want
+    assert burau_eval_trunc(Power(N, w, k), p) == want
+
+
+@_settings
+@given(words, st.integers(0, 12), st.integers(1, 8))
+def test_power_is_square_and_multiply(w, k, p):
+    m = burau_eval_trunc(w, p)
+    assert m ** k == _square_and_multiply(m, k)
+
+
+@_settings
+@given(st.one_of(words, pure_words), st.integers(1, 8))
+def test_trunc_inverse_is_two_sided(w, p):
+    m = burau_eval_trunc(w, p)
+    ident = TruncMatrix.identity(N, p)
+    assert m ** 0 == ident
+    assert m * m.inverse() == ident and m.inverse() * m == ident
