@@ -10,13 +10,24 @@ index of L, then the index of R.  Structurally equal left and right halves
 are skipped (the commutator is trivial), as are trees nested deeper than
 the configured bound.
 
-Evaluation runs in the truncated ring.  The hot path multiplies whole leaf
-batches of the terms' coefficient stacks at once with `linalg.trunc_mul`.
-The batches are int64 when an a-priori bound on every product's entries
-fits, and exact Python integers (object dtype) otherwise.  Every raw hit is
-rechecked once, apart from the scan: exactly for words within `exact_cap`
-letters (the scan's depth is below the precision, so this implies the
-truncated check), truncated beyond it.
+Evaluation runs in the truncated ring on the terms' coefficient stacks.
+A prefix's continuations are multiplied as batches: all the sibling
+prefixes of one slot by one `linalg.trunc_mul`, and the last two slots as
+one outer block.  With two slots left after a prefix P, the candidates of
+one split of the remaining size run over P * A[a] * B[b], a-major and
+b-minor, so each block is the products of the stacks of P * A by those of
+B, computed one degree at a time as a single matrix product.  The batches
+are int64 when an a-priori bound on every product's entries fits, and
+exact Python integers (object dtype) otherwise.  A config whose term table
+would exceed `MAX_TABLE_TERMS` is refused, since the table is evaluated in
+full before the budget applies.
+
+Every raw hit is rechecked once, apart from the scan: exactly for words
+within `exact_cap` letters (the scan's depth is below the precision, so
+this implies the truncated check), truncated beyond it.  The exact image
+of a hit is the product of the exact images of its terms, each evaluated
+once per search, and the depth and leading coefficient are read from one
+s-expansion of it.
 """
 
 from __future__ import annotations
@@ -27,10 +38,38 @@ import numpy as np
 
 from .laurent import json_int
 from .liealg import GradedElement, orbit_key
-from .linalg import TruncMatrix, trunc_mul
+from .linalg import LaurentMatrix, TruncMatrix, trunc_mul
 from .rep import burau_eval, burau_eval_trunc
 from .words import (BraidWord, commutator, concat, letter_bound, parse_word,
                     word_format)
+
+#: the most commutator terms a config may have.  The whole term table is
+#: built and evaluated before the budget applies, at about 3.5 ms a term at
+#: nesting 3 (2-CPU x86 box, Python 3.11), so the cap bounds that at ~15 s.
+MAX_TABLE_TERMS = 4096
+#: the most candidates the last two slots multiply out in one block
+_BLOCK = 1024
+
+
+def _term_count(pool_size: int, max_nesting: int, cap: int) -> int:
+    """The number of commutator terms nested at most ``max_nesting`` deep
+    over a pool of ``pool_size`` words; the count stops at the first nesting
+    level whose terms exceed ``cap``."""
+    counts = {1: pool_size}  # size -> terms of that size at this nesting
+    for _ in range(max_nesting):
+        deeper = {1: pool_size}
+        for ls, a in counts.items():
+            for rs, b in counts.items():
+                # [L, R] for every pair of halves, except L == R
+                pairs = a * b - (a if ls == rs else 0)
+                deeper[ls + rs] = deeper.get(ls + rs, 0) + pairs
+        deeper = {s: c for s, c in deeper.items() if c}
+        if deeper == counts:
+            break  # a one-word pool: nesting adds no terms
+        counts = deeper
+        if sum(counts.values()) > cap:
+            break
+    return sum(counts.values())
 
 
 class SearchConfig:
@@ -60,6 +99,12 @@ class SearchConfig:
                 or min(max_nesting, exact_cap, budget or 0) < 0):
             raise ValueError("bounds must be positive (maxNesting, budget "
                              "and exactCap non-negative)")
+        terms = _term_count(len(self.pool), max_nesting, MAX_TABLE_TERMS)
+        if terms > MAX_TABLE_TERMS:
+            raise ValueError(
+                f"maxNesting {max_nesting} over {len(self.pool)} pool words "
+                f"makes at least {terms} commutator terms; at most "
+                f"{MAX_TABLE_TERMS} are allowed")
 
     def to_json(self) -> dict:
         return {"n": self.n, "targetDepth": self.target_depth,
@@ -158,6 +203,8 @@ def _terms_by_size(cfg: SearchConfig) -> list[list[Tree]]:
                     tree = (left, right)
                     if _nesting(tree) <= cfg.max_nesting:
                         level.append(tree)
+        if not level:
+            break  # a one-word pool: no size beyond 1 has a term
         terms.append(level)
     return terms
 
@@ -170,6 +217,24 @@ def _tree_word(tree: Tree, cfg: SearchConfig) -> BraidWord:
 
 # ---------------------------------------------------------------------------
 # search
+
+
+def _pair_products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Every product of a stack of ``left`` (p, A, n, n) by one of ``right``
+    (p, B, n, n), in Z[s]/(s^p): (p, A * B, n, n), left index major.
+
+    Degree k is one matrix product: the rows (a, r) of the left stacks'
+    coefficients of degree 0..k side by side, times the columns (b, c) of
+    the right stacks' coefficients of degree k..0 stacked.
+    """
+    p, na, n, _ = left.shape
+    nb = right.shape[1]
+    out = np.empty((p, na, nb, n, n), dtype=right.dtype)
+    for k in range(p):
+        lhs = left[:k + 1].transpose(1, 2, 0, 3).reshape(na * n, (k + 1) * n)
+        rhs = right[k::-1].transpose(0, 2, 1, 3).reshape((k + 1) * n, nb * n)
+        out[k] = (lhs @ rhs).reshape(na, n, nb, n).transpose(0, 2, 1, 3)
+    return out.reshape(p, na * nb, n, n)
 
 
 def search_deep(cfg: SearchConfig) -> SearchOutcome:
@@ -199,47 +264,65 @@ def search_deep(cfg: SearchConfig) -> SearchOutcome:
     exhausted = False
     raw_hits: list[tuple[int, tuple[BraidWord, ...], int]] = []
 
-    def scan_batch(start: int, prefix_words: tuple[BraidWord, ...],
-                   out: np.ndarray, size: int) -> None:
+    def take(count: int) -> int:
+        """How many of the next ``count`` candidates the budget admits."""
+        nonlocal exhausted
+        if cfg.budget is not None and counter + count > cfg.budget:
+            exhausted = True
+            return cfg.budget - counter
+        return count
+
+    def scan(out: np.ndarray, words_of) -> None:
+        """Record the raw hits of the block ``out`` (p, B, n, n), the next B
+        candidates; ``words_of(t)`` is the term words of its t-th."""
+        nonlocal counter
         const_ok = (out[0] == ident[0]).all(axis=(1, 2))
         if target > 1:
             const_ok &= (out[1:target] == 0).all(axis=(0, 2, 3))
         for t in np.nonzero(const_ok)[0]:
-            depth = None
-            for c in range(target, precision):
-                if out[c, t].any():
-                    depth = c
-                    break
-            if depth is not None:
-                raw_hits.append((start + int(t),
-                                 prefix_words + (term_words[size][t],), depth))
+            deep = out[target:, t].any(axis=(1, 2))
+            if deep.any():
+                raw_hits.append((counter + int(t), words_of(int(t)),
+                                 target + int(deep.argmax())))
+        counter += out.shape[1]
 
     def emit(remaining: int, slots: int, prefix_words: tuple[BraidWord, ...],
              prefix: np.ndarray) -> bool:
         """Enumerate continuations; returns False when the budget is hit."""
-        nonlocal counter, exhausted
         for size in range(1, min(remaining, max_term_size) + 1):
             level = term_words[size]
             if not level:
                 continue
             if size == remaining:
-                limit = len(level)
-                if cfg.budget is not None and counter + limit > cfg.budget:
-                    limit = cfg.budget - counter
-                    exhausted = True
+                limit = take(len(level))
                 if limit > 0:
-                    scan_batch(counter, prefix_words,
-                               trunc_mul(prefix, term_arrays[size][:, :limit]),
-                               size)
-                    counter += limit
-                if exhausted:
-                    return False
-            elif slots > 1:
+                    scan(trunc_mul(prefix, term_arrays[size][:, :limit]),
+                         lambda t: prefix_words + (level[t],))
+            elif slots == 2:
+                # the last two slots: one outer block, a-major and b-minor
+                rest = remaining - size
+                if rest > max_term_size or not term_words[rest]:
+                    continue
+                right = term_words[rest]
+                width = len(right)
+                limit = take(len(level) * width)
+                rows = -(-limit // width)
+                lefts = trunc_mul(prefix, term_arrays[size][:, :rows])
+                step = max(1, _BLOCK // width)
+                for a0 in range(0, rows, step):
+                    block = _pair_products(lefts[:, a0:a0 + step],
+                                           term_arrays[rest])
+                    scan(block[:, :limit - a0 * width],
+                         lambda t: prefix_words + (
+                             level[a0 + t // width], right[t % width]))
+            elif slots > 2:
+                nexts = trunc_mul(prefix, term_arrays[size])
                 for idx, word in enumerate(level):
-                    nxt = trunc_mul(prefix, term_arrays[size][:, idx])
                     if not emit(remaining - size, slots - 1,
-                                prefix_words + (word,), nxt):
+                                prefix_words + (word,), nexts[:, idx]):
                         return False
+            if exhausted:
+                return False
         return True
 
     max_total = cfg.max_terms * max_term_size
@@ -247,21 +330,45 @@ def search_deep(cfg: SearchConfig) -> SearchOutcome:
         if not emit(total, cfg.max_terms, (), ident):
             break
 
+    # post-processing.  The exact image of each term word is computed once
+    # (keyed by identity: raw hits share the term word objects), and so is
+    # each product of a hit's leading terms while the next hits, which come
+    # in contract order, share them; the orbit key is computed once per
+    # leading coefficient.
+    images: dict[int, LaurentMatrix] = {}
+    keys: dict[tuple, tuple[int, ...]] = {}
+    # the last hit's terms, each with the image of the product up to it
+    chain: list[tuple[BraidWord, LaurentMatrix]] = []
+
+    def exact_image(seq: tuple[BraidWord, ...]) -> LaurentMatrix:
+        keep = 0
+        while keep < min(len(seq), len(chain)) and chain[keep][0] is seq[keep]:
+            keep += 1
+        del chain[keep:]
+        for w in seq[keep:]:
+            if id(w) not in images:
+                images[id(w)] = burau_eval(w)
+            chain.append((w, chain[-1][1] * images[id(w)] if chain
+                          else images[id(w)]))
+        return chain[-1][1]
+
     hits: list[SearchHit] = []
     seen: set[tuple[int, ...]] = set()
     for index, seq, depth in raw_hits:
         word = concat(*seq)
         if letter_bound(word) <= cfg.exact_cap:
-            exact = burau_eval(word)
-            if exact.depth() != depth:
+            m = exact_image(seq).truncate(depth + 1)
+            if m.depth_bound() != depth:
                 raise AssertionError("exact depth disagrees with the scan")
-            m = exact.truncate(depth + 1)
         else:
             m = burau_eval_trunc(word, precision)
             if m.depth_bound() != depth:
                 raise AssertionError("batched evaluation disagrees with recheck")
         leading = GradedElement(depth, m.coefficient(depth))
-        key = orbit_key(leading)
+        memo = (depth, leading.matrix.rows)
+        if memo not in keys:
+            keys[memo] = orbit_key(leading)
+        key = keys[memo]
         if key in seen:
             continue
         seen.add(key)

@@ -557,6 +557,18 @@ def test_search_config_with_out_of_range_field_is_a_usage_error(tmp_path):
         assert_usage_error(*run(["search", "--config", str(path)]), str(path))
 
 
+def test_search_config_nested_too_deep_is_a_usage_error(tmp_path):
+    # 33 674 commutator terms: refused from a count, before any is built
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 3, "targetDepth": 1,
+                                "pool": ["s1^2", "s2^2"], "maxNesting": 4,
+                                "budget": 10}))
+    start = time.perf_counter()
+    assert_usage_error(*run(["search", "--config", str(path)]),
+                       str(path), "33674 commutator terms")
+    assert time.perf_counter() - start < 5
+
+
 def test_graded_argument_off_the_lattice_is_a_usage_error():
     a = '{"degree":1,"matrix":[[1,0,0],[0,1,-1],[0,-1,1]]}'
     b = '{"degree":1,"matrix":[[0,0,0],[0,1,-1],[0,-1,1]]}'

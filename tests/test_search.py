@@ -5,15 +5,19 @@ literally; the leading coefficients are checked against the graded
 generator combinations they must equal.
 """
 
+import itertools
+
+import numpy as np
 import pytest
 
 from burau import search
-from burau.liealg import gen_x, gen_y
-from burau.linalg import TruncMatrix
-from burau.search import (SearchConfig, alpha_search_config,
+from burau.liealg import GradedElement, gen_x, gen_y, orbit_key
+from burau.linalg import LaurentMatrix, TruncMatrix
+from burau.rep import burau_eval_trunc
+from burau.search import (MAX_TABLE_TERMS, SearchConfig, alpha_search_config,
                           delta_search_config, search_deep)
-from burau.words import (Power, alpha_word, commutator, delta_word, flatten,
-                         gen, pure_gen)
+from burau.words import (Power, alpha_word, commutator, concat, delta_word,
+                         flatten, gen, parse_word, pure_gen, word_format)
 
 
 def test_single_word_pool_finds_itself():
@@ -233,3 +237,193 @@ def test_config_bounds():
             SearchConfig(5, 2, pool, max_nesting=1, **bad)
     out = search_deep(SearchConfig(5, 2, pool, max_nesting=1, budget=0))
     assert (out.candidates, out.budget_exhausted, out.hits) == (0, True, [])
+
+
+def test_deep_nesting_is_refused_before_the_table_is_built():
+    # 33 674 terms at nesting 4, against 184 at nesting 3; the count is an
+    # exact recurrence over (size, nesting), so it costs nothing to refuse
+    pool = [parse_word("s1^2", 3), parse_word("s2^2", 3)]
+    with pytest.raises(ValueError, match="33674 commutator terms"):
+        SearchConfig(3, 1, pool, max_nesting=4, budget=10)
+    ok = SearchConfig(3, 1, pool, max_nesting=3, budget=10)
+    assert sum(len(level) for level in search._terms_by_size(ok)) == 184
+    # a one-word pool has no commutators at any nesting
+    one = SearchConfig(3, 1, pool[:1], max_nesting=10 ** 6, budget=10)
+    assert search._terms_by_size(one) == [[], [0]]
+
+
+@pytest.mark.parametrize("pool_size, nesting",
+                         [(1, 0), (1, 3), (2, 1), (2, 2), (2, 3), (3, 2),
+                          (6, 1)])
+def test_term_count_matches_the_term_table(pool_size, nesting):
+    pool = alpha_search_config().pool[:pool_size]
+    cfg = SearchConfig(5, 1, pool, max_nesting=nesting, budget=0)
+    table = search._terms_by_size(cfg)
+    assert (search._term_count(pool_size, nesting, MAX_TABLE_TERMS)
+            == sum(len(level) for level in table))
+
+
+# ---------------------------------------------------------------------------
+# differential oracle: every candidate evaluated on its own
+
+
+def _reference_candidates(cfg: SearchConfig):
+    """Every candidate's term words and their sizes, in contract order."""
+    terms = [[search._tree_word(t, cfg) for t in level]
+             for level in search._terms_by_size(cfg)]
+    largest = len(terms) - 1
+
+    def sequences(total, slots):
+        for size in range(1, min(total, largest) + 1):
+            for word in terms[size]:
+                if size == total:
+                    yield ((word, size),)
+                elif slots > 1:
+                    for rest in sequences(total - size, slots - 1):
+                        yield ((word, size),) + rest
+
+    return itertools.chain.from_iterable(
+        sequences(total, cfg.max_terms)
+        for total in range(1, cfg.max_terms * largest + 1))
+
+
+def _reference_search(cfg: SearchConfig) -> dict:
+    """Evaluate each candidate with ``burau_eval_trunc`` and keep the
+    earliest of each orbit key."""
+    hits, seen, candidates = [], set(), 0
+    for index, seq in enumerate(_reference_candidates(cfg)):
+        if index == cfg.budget:
+            return {"hits": hits, "candidates": candidates, "exhausted": True}
+        candidates += 1
+        if len(hits) >= cfg.result_cap:
+            continue
+        word = concat(*(w for w, _ in seq))
+        m = burau_eval_trunc(word, cfg.precision)
+        depth = m.depth_bound()
+        if not cfg.target_depth <= depth < cfg.precision:
+            continue
+        leading = GradedElement(depth, m.coefficient(depth))
+        key = orbit_key(leading)
+        if key not in seen:
+            seen.add(key)
+            hits.append((index, depth, leading, word_format(word)))
+    return {"hits": hits, "candidates": candidates, "exhausted": False}
+
+
+_ORACLE_CONFIGS = {
+    "terms4": SearchConfig(5, 3, [pure_gen(5, 1, 3), pure_gen(5, 2, 4)],
+                           max_nesting=1, max_terms=4, precision=4),
+    "terms4-cut": SearchConfig(5, 3, [pure_gen(5, 1, 3), pure_gen(5, 2, 4)],
+                               max_nesting=1, max_terms=4, precision=4,
+                               budget=126),
+    "terms3-cut": SearchConfig(5, 2, [pure_gen(5, 1, 2), pure_gen(5, 1, 3),
+                                      pure_gen(5, 3, 4)],
+                               max_nesting=1, max_terms=3, precision=3,
+                               budget=257),
+    "nesting2-cut": SearchConfig(5, 2, [pure_gen(5, 1, 2), pure_gen(5, 2, 3),
+                                        pure_gen(5, 1, 3)],
+                                 max_nesting=2, max_terms=2, precision=4,
+                                 budget=300),
+    "nesting0": SearchConfig(5, 1, [pure_gen(5, 1, 2), pure_gen(5, 2, 3)],
+                             max_nesting=0, max_terms=4, precision=3),
+    # P * X * Y and P * Y * X differ at degree 2 here: the blocks of the
+    # last two slots must keep their order
+    "slot-order": SearchConfig(5, 2, [pure_gen(5, 1, 2), pure_gen(5, 1, 3),
+                                      parse_word("A13^-1 A12^-1", 5)],
+                               max_nesting=0, max_terms=3, precision=3),
+    # A_12^(10^7) has degree-2 coefficients near 10^14: exact integers
+    "exact-ints-cut": SearchConfig(
+        5, 2, [Power(5, pure_gen(5, 1, 2), 10 ** 7), pure_gen(5, 1, 3),
+               pure_gen(5, 2, 3)],
+        max_nesting=1, max_terms=3, precision=3, budget=207),
+}
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_CONFIGS))
+def test_search_matches_the_one_by_one_reference(name, monkeypatch):
+    cfg = _ORACLE_CONFIGS[name]
+    dtypes = set()
+    real = search._pair_products
+    monkeypatch.setattr(search, "_pair_products",
+                        lambda a, b: dtypes.add(b.dtype) or real(a, b))
+    out = search_deep(cfg)
+    ref = _reference_search(cfg)
+    assert [(h.index, h.depth, h.leading, word_format(h.word))
+            for h in out.hits] == ref["hits"]
+    assert (out.candidates, out.budget_exhausted) == (ref["candidates"],
+                                                      ref["exhausted"])
+    assert out.hits
+    # the last two slots ran as outer blocks, on the dtype the pool needs
+    assert dtypes == {np.dtype(object if "exact" in name else np.int64)}
+
+
+@pytest.mark.parametrize("name", [k for k in _ORACLE_CONFIGS if "cut" in k])
+def test_oracle_budgets_end_inside_a_two_slot_block(name):
+    # the last admitted candidate and the first refused one fill the last
+    # two slots after one prefix with one split of the remaining size
+    cfg = _ORACLE_CONFIGS[name]
+
+    def block(seq):
+        words = tuple(id(w) for w, _ in seq[:-2])
+        return len(seq), words, tuple(size for _, size in seq[-2:])
+
+    seqs = list(itertools.islice(_reference_candidates(cfg), cfg.budget + 1))
+    admitted, refused = seqs[cfg.budget - 1], seqs[cfg.budget]
+    assert len(admitted) == cfg.max_terms
+    assert block(admitted) == block(refused)
+
+
+# ---------------------------------------------------------------------------
+# work sharing in the hit post-processing, and the order across blocks
+
+
+def test_each_term_word_is_evaluated_exactly_once(monkeypatch):
+    words = []
+    real = search.burau_eval
+    monkeypatch.setattr(search, "burau_eval",
+                        lambda w: words.append(w) or real(w))
+    out = search_deep(alpha_search_config(budget=20_000))
+    assert [h.index for h in out.hits] == [50, 4142, 4676]
+    terms = sum(len(level)
+                for level in search._terms_by_size(alpha_search_config()))
+    assert 0 < len(words) == len({id(w) for w in words}) <= terms == 36
+
+
+def test_orbit_key_runs_once_per_leading_coefficient(monkeypatch):
+    keyed = []
+    real = search.orbit_key
+    monkeypatch.setattr(search, "orbit_key",
+                        lambda a: keyed.append((a.degree, a.matrix.rows))
+                        or real(a))
+    out = search_deep(alpha_search_config(budget=20_000))
+    assert len(keyed) == len(set(keyed)) >= len(out.hits) == 3
+
+
+def test_lying_laurent_product_is_caught(monkeypatch):
+    # the pool words are literals, whose exact images take no matrix
+    # product; a raw hit of two or more terms is rechecked through the
+    # product of their images, so a product that lies must trip the check
+    products = []
+
+    def lying(a, b):
+        products.append((a, b))
+        return LaurentMatrix.identity(a.n)
+
+    monkeypatch.setattr(LaurentMatrix, "__mul__", lying)
+    cfg = SearchConfig(5, 1, [pure_gen(5, 1, 2), pure_gen(5, 2, 3)],
+                       max_nesting=0, max_terms=2, precision=3)
+    with pytest.raises(AssertionError,
+                       match="exact depth disagrees with the scan"):
+        search_deep(cfg)
+    assert products
+
+
+@pytest.mark.parametrize("strands", list(itertools.combinations(range(1, 6),
+                                                                4)))
+def test_alpha_shape_hit_indices_on_every_four_strand_subset(strands):
+    pool = [pure_gen(5, i, j) for i, j in itertools.combinations(strands, 2)]
+    cfg = SearchConfig(5, 3, pool, max_nesting=1, max_terms=4, precision=4,
+                       budget=5000)
+    out = search_deep(cfg)
+    assert [h.index for h in out.hits] == [50, 4142, 4676]
+    assert (out.candidates, out.budget_exhausted) == (5000, True)
