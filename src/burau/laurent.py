@@ -8,8 +8,10 @@ Two rings live here.
 
 * :class:`TruncSeries` is an element of Z[s]/(s^N).  Substituting t = 1 + s
   turns a Laurent polynomial into a power series in s; keeping only the
-  first N coefficients is enough to measure congruence depth and is far
-  cheaper than exact arithmetic on long products.
+  first N coefficients is enough to measure congruence depth.  It is the
+  value of ``LaurentPoly.to_series`` and of a truncated matrix's ``rows``
+  view; truncated matrices themselves are coefficient stacks (see
+  ``linalg.TruncMatrix``).
 
 All arithmetic is exact; nothing in this module (or the package) touches
 floating point.
@@ -198,6 +200,8 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
+        if self._c.keys() <= {0}:  # a constant hashes as the int it equals
+            return hash(self._c.get(0, 0))
         return hash(frozenset(self._c.items()))
 
     # -- the bar involution and s-adic structure ----------------------------
@@ -228,25 +232,29 @@ class LaurentPoly:
             k += 1
         return k
 
-    def to_series(self, precision: int) -> "TruncSeries":
-        """Image in Z[s]/(s^precision) under t = 1 + s.
+    def s_coeffs(self, precision: int) -> list[int]:
+        """The coefficients of s^0..s^(precision-1) under t = 1 + s.
 
         Negative powers use the alternating geometric expansion of t^-1;
         both signs are covered by the generalized binomial coefficients
-        C(e, k), which are integers for every integer e.
-
-        >>> print(LaurentPoly({-1: 1}).to_series(4))
-        1 - s + s^2 - s^3 + O(s^4)
+        C(e, k), which are integers for every integer e.  A precision below
+        1 gives the empty list; the callers refuse it.
         """
-        if precision < 1:
-            raise ValueError("precision must be >= 1")
         out = [0] * precision
         for e, v in self._c.items():
             binom = 1  # C(e, k), updated iteratively
             for k in range(precision):
                 out[k] += v * binom
                 binom = binom * (e - k) // (k + 1)
-        return TruncSeries(precision, out)
+        return out
+
+    def to_series(self, precision: int) -> "TruncSeries":
+        """Image in Z[s]/(s^precision) under t = 1 + s.
+
+        >>> print(LaurentPoly({-1: 1}).to_series(4))
+        1 - s + s^2 - s^3 + O(s^4)
+        """
+        return TruncSeries(precision, self.s_coeffs(precision))
 
     # -- presentation -------------------------------------------------------
 
@@ -280,8 +288,8 @@ S = LaurentPoly({1: 1, 0: -1})  # s = t - 1
 class TruncSeries:
     """An element of Z[s]/(s^N), stored as the coefficient list of s^0..s^{N-1}.
 
-    The scalar of word evaluation's column operations; a ``TruncMatrix``
-    stores coefficient stacks instead.  Mixed precisions are refused.
+    A view of one entry; a ``TruncMatrix`` stores coefficient stacks and
+    multiplies those.  Mixed precisions are refused.
 
     >>> a = TruncSeries(3, [1, 1])        # 1 + s
     >>> print(a * a)

@@ -21,8 +21,10 @@ hold terms far apart in degree (say t^0 and t^(10^9)), where the packed ints
 would be mostly zero digits, take the entrywise product instead.
 
 A truncated matrix is the (N, n, n) numpy stack of its s^k coefficient
-matrices, with Python-int entries.  :func:`trunc_mul` is the one product in
-Z[s]/(s^N), for ``TruncMatrix`` and for the commutator search's batches.
+matrices, with Python-int entries.  It is reached from an exact matrix by
+``LaurentMatrix.truncate``, which reads each entry's s-coefficients straight
+into the stack.  :func:`trunc_mul` is the one product in Z[s]/(s^N), for
+``TruncMatrix`` and for the commutator search's batches.
 
 Integer matrices double as s-adic coefficients and as vectors in Z^(n^2)
 (row-major) for the Hermite-normal-form machinery at the bottom of the file.
@@ -461,9 +463,11 @@ class LaurentMatrix(SquareMatrix):
         return [m.coefficient(k) for k in range(precision)]
 
     def truncate(self, precision: int) -> "TruncMatrix":
-        return TruncMatrix(precision,
-                           [[e.to_series(precision) for e in row]
-                            for row in self.rows])
+        """The image in Z[s]/(s^precision) under t = 1 + s, entry by entry:
+        the quotient map of the s-adic filtration, a ring homomorphism."""
+        return TruncMatrix(np.array(
+            [[e.s_coeffs(precision) for e in row] for row in self.rows],
+            dtype=object).transpose(2, 0, 1))
 
     def s_valuation(self) -> int | float:
         """Largest k with s^k dividing every entry; inf exactly for 0.
@@ -539,23 +543,12 @@ class TruncMatrix:
 
     __slots__ = ("n", "precision", "stack")
 
-    def __init__(self, precision: int, rows: Sequence[Sequence[TruncSeries]]):
-        self.n = _square(rows)
-        self.precision = precision
-        for row in rows:
-            for e in row:
-                if e.precision != precision:
-                    raise ValueError("entry precision mismatch")
-        self.stack = np.array([[e.coeffs() for e in row] for row in rows],
-                              dtype=object).transpose(2, 0, 1)
-
-    @staticmethod
-    def _of(stack: np.ndarray) -> "TruncMatrix":
-        """Wrap a (p, n, n) object stack without copying it."""
-        m = object.__new__(TruncMatrix)
-        m.precision, m.n, _ = stack.shape
-        m.stack = stack
-        return m
+    def __init__(self, stack: np.ndarray):
+        """Wrap a (p, n, n) object stack without copying it; p >= 1."""
+        self.precision, self.n, _ = stack.shape
+        if self.precision < 1:
+            raise ValueError("precision must be >= 1")
+        self.stack = stack
 
     @property
     def rows(self) -> tuple[tuple[TruncSeries, ...], ...]:
@@ -569,9 +562,9 @@ class TruncMatrix:
 
     @staticmethod
     def from_int(m: IntMatrix, precision: int) -> "TruncMatrix":
-        stack = np.zeros((precision, m.n, m.n), dtype=object)
-        stack[0] = m.rows
-        return TruncMatrix._of(stack)
+        """The constant matrix m: the s-expansion of 1, times m."""
+        return TruncMatrix(np.multiply.outer(ONE.s_coeffs(precision),
+                                             np.array(m.rows, dtype=object)))
 
     def _check(self, other: "TruncMatrix") -> None:
         if self.n != other.n or self.precision != other.precision:
@@ -579,18 +572,18 @@ class TruncMatrix:
 
     def __add__(self, other: "TruncMatrix") -> "TruncMatrix":
         self._check(other)
-        return TruncMatrix._of(self.stack + other.stack)
+        return TruncMatrix(self.stack + other.stack)
 
     def __sub__(self, other: "TruncMatrix") -> "TruncMatrix":
         self._check(other)
-        return TruncMatrix._of(self.stack - other.stack)
+        return TruncMatrix(self.stack - other.stack)
 
     def __neg__(self) -> "TruncMatrix":
-        return TruncMatrix._of(-self.stack)
+        return TruncMatrix(-self.stack)
 
     def __mul__(self, other: "TruncMatrix") -> "TruncMatrix":
         self._check(other)
-        return TruncMatrix._of(trunc_mul(self.stack, other.stack))
+        return TruncMatrix(trunc_mul(self.stack, other.stack))
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, TruncMatrix)
@@ -635,7 +628,7 @@ class TruncMatrix:
                 if j > 1:
                     term = term * nil
                 c = c * (k - j + 1) // j
-                out = TruncMatrix._of(out.stack + c * term.stack)
+                out = TruncMatrix(out.stack + c * term.stack)
                 j += 1
             return out
         if k < 0:
@@ -665,21 +658,6 @@ class TruncMatrix:
     def to_json(self) -> dict:
         return {"n": self.n, "precision": self.precision,
                 "entries": self.stack.transpose(1, 2, 0).tolist()}
-
-    @staticmethod
-    def from_json(obj: dict) -> "TruncMatrix":
-        """Entries are lists of ``precision`` JSON integer coefficients; a
-        bool, float or string anywhere is refused with TypeError, a list of
-        another length with ValueError."""
-        prec = json_int(obj["precision"], name="precision")
-        rows = [[TruncSeries(prec, map(json_int, e)) for e in row]
-                for row in obj["entries"]]
-        if any(len(e) != prec for row in obj["entries"] for e in row):
-            raise ValueError(f"an entry does not hold {prec} coefficients")
-        m = TruncMatrix(prec, rows)
-        if m.n != json_int(obj["n"], name="n"):
-            raise ValueError("declared dimension does not match entries")
-        return m
 
     def __str__(self) -> str:
         return _bracketed([[str(e) for e in row] for row in self.rows])

@@ -15,7 +15,7 @@ gamma_coeff extracts the leading coefficient as a GradedElement.
 
 from __future__ import annotations
 
-from .laurent import LaurentPoly, TruncSeries, ONE, ZERO, T, T_INV
+from .laurent import LaurentPoly, ONE, ZERO, T, T_INV
 from .linalg import LaurentMatrix, TruncMatrix
 from .liealg import GradedElement
 from .words import BraidWord, Perm, fold
@@ -66,51 +66,50 @@ def form_j(n: int) -> LaurentMatrix:
 # word evaluation
 
 
-def _evaluate(w: BraidWord, one, zero, t, t_inv, matrix, power=None):
-    """Image of a word over the ring with scalars one, zero, t and t^-1.
+_ONE_MINUS_T = ONE - T
+_ONE_MINUS_T_INV = ONE - T_INV
 
-    ``matrix(rows)`` builds a matrix of that ring.  Literal runs are applied
-    as column operations, so beta(sigma_i^+-1) is never multiplied out; the
-    rest is the word fold, whose inverse flag means no matrix is inverted.
-    ``power`` is the fold's power hook (square and multiply unless given).
+
+def _literal(n: int, letters) -> LaurentMatrix:
+    """Exact image of a literal run, as column operations on the identity.
+
+    beta(sigma_i^+-1) is never multiplied out: right multiplication by it
+    rewrites columns i and i+1 only.
     """
-    n = w.n
-    one_minus_t = one - t
-    one_minus_t_inv = one - t_inv
-
-    def literal(letters):
-        cols = [[one if r == c else zero for r in range(n)] for c in range(n)]
-        for i, s in letters:
-            a, b = cols[i - 1], cols[i]
-            if s > 0:
-                # new col i = a*(1-t) + b*t ; new col i+1 = a
-                cols[i - 1] = [x * one_minus_t + y * t for x, y in zip(a, b)]
-                cols[i] = a
-            else:
-                # new col i = b ; new col i+1 = a*t^-1 + b*(1-t^-1)
-                cols[i - 1] = b
-                cols[i] = [x * t_inv + y * one_minus_t_inv for x, y in zip(a, b)]
-        return matrix(list(zip(*cols)))
-
-    return fold(w, literal, literal(()), power=power)
+    cols = [[ONE if r == c else ZERO for r in range(n)] for c in range(n)]
+    for i, s in letters:
+        a, b = cols[i - 1], cols[i]
+        if s > 0:
+            # new col i = a*(1-t) + b*t ; new col i+1 = a
+            cols[i - 1] = [x * _ONE_MINUS_T + y * T for x, y in zip(a, b)]
+            cols[i] = a
+        else:
+            # new col i = b ; new col i+1 = a*t^-1 + b*(1-t^-1)
+            cols[i - 1] = b
+            cols[i] = [x * T_INV + y * _ONE_MINUS_T_INV for x, y in zip(a, b)]
+    return LaurentMatrix(list(zip(*cols)))
 
 
 def burau_eval(w: BraidWord) -> LaurentMatrix:
-    """Exact image of a word, memoized over shared DAG nodes."""
-    return _evaluate(w, ONE, ZERO, T, T_INV, LaurentMatrix)
+    """Exact image of a word, memoized over shared DAG nodes.
+
+    The word fold's inverse flag means no matrix is inverted.
+    """
+    return fold(w, lambda letters: _literal(w.n, letters),
+                LaurentMatrix.identity(w.n))
 
 
 def burau_eval_trunc(w: BraidWord, precision: int) -> TruncMatrix:
     """Image of a word in the ring truncated at s^precision.
 
-    Powers go through ``TruncMatrix.__pow__``: the image of a pure braid is
+    The same fold as ``burau_eval``, with each literal run's exact image
+    pushed through ``LaurentMatrix.truncate``, a ring homomorphism.  Powers
+    go through ``TruncMatrix.__pow__``: the image of a pure braid is
     unipotent there, so its power is a binomial series of a few products
     however large the exponent.
     """
-    return _evaluate(w, TruncSeries.one(precision), TruncSeries.zero(precision),
-                     T.to_series(precision), T_INV.to_series(precision),
-                     lambda rows: TruncMatrix(precision, rows),
-                     TruncMatrix.__pow__)
+    return fold(w, lambda letters: _literal(w.n, letters).truncate(precision),
+                TruncMatrix.identity(w.n, precision), power=TruncMatrix.__pow__)
 
 
 # ---------------------------------------------------------------------------

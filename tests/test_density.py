@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from burau import density
+from burau import density, laurent
 from burau.density import (LibraryIntegrityError, NoSolution, NotInGamma,
                            SpanFailure, WitnessLibrary, approximate,
                            build_witness_library, default_library,
@@ -216,7 +216,24 @@ def test_witness_power_costs_no_products(monkeypatch):
     assert count[0] == products
     assert plain.depth_bound() == 5
     nil = plain - TruncMatrix.identity(N, 7)
-    assert powered == TruncMatrix._of(plain.stack + (10 ** 40 - 1) * nil.stack)
+    assert powered == TruncMatrix(plain.stack + (10 ** 40 - 1) * nil.stack)
+
+
+def test_truncated_evaluation_multiplies_no_series(monkeypatch):
+    # truncated images are exact literal runs pushed through
+    # LaurentMatrix.truncate and multiplied as stacks: no entry-by-entry
+    # series arithmetic anywhere on the way
+    count = [0]
+    real = laurent.TruncSeries.__mul__
+
+    def counting(a, b):
+        count[0] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(laurent.TruncSeries, "__mul__", counting)
+    build_witness_library(5, 4)
+    burau_eval_trunc(alpha_word(5), 6)
+    assert count[0] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,12 @@ def test_json_coefficients_are_integers_or_decimal_strings():
         LaurentPoly.from_json({"t": {"0.5": 1}})
 
 
+def test_constant_hashes_as_the_integer_it_equals():
+    for c in (0, 1, -1, 7):
+        assert LaurentPoly(c) == c and hash(LaurentPoly(c)) == hash(c)
+        assert {c: "x"}.get(LaurentPoly(c)) == "x"
+
+
 class TestTruncSeries:
     def test_constructors(self):
         assert TruncSeries.zero(3).coeffs() == [0, 0, 0]

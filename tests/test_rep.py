@@ -1,16 +1,18 @@
+import functools
 import math
+import operator
 import random
 
 import pytest
 
 from burau.laurent import LaurentPoly, T, T_INV
 from burau.liealg import gen_x
-from burau.linalg import IntMatrix, LaurentMatrix, perm_matrix
+from burau.linalg import IntMatrix, LaurentMatrix, TruncMatrix, perm_matrix
 from burau.rep import (GAMMA_CONDITIONS, DepthTooSmall, GammaElement,
                        burau_eval, burau_eval_trunc, burau_gamma, burau_gen,
                        form_j, gamma_check, gamma_coeff, ones_row, vector_v)
-from burau.words import (alpha_word, commutator, concat, delta_word, gen,
-                         pure_gen, word_permutation)
+from burau.words import (Literal, alpha_word, commutator, concat, delta_word,
+                         gen, pure_gen, word_permutation)
 
 ZERO, ONE = LaurentPoly(0), LaurentPoly(1)
 
@@ -98,6 +100,23 @@ def test_eval_is_multiplicative():
     for _ in range(10):
         u, v = rand_word(rng, 4, 5), rand_word(rng, 4, 5)
         assert burau_eval(concat(u, v)) == burau_eval(u) * burau_eval(v)
+
+
+def test_literal_runs_are_products_of_generator_images():
+    # an oracle that shares nothing with the evaluator's column operations
+    rng = random.Random(403)
+    for n in range(2, 7):
+        for _ in range(4):
+            letters = [(rng.randint(1, n - 1), rng.choice((1, -1)))
+                       for _ in range(rng.randint(0, 9))]
+            w = Literal(n, letters)
+            gens = [burau_gen(n, i, s) for i, s in letters]
+            assert burau_eval(w) == functools.reduce(
+                operator.mul, gens, LaurentMatrix.identity(n))
+            for precision in (1, 3, 5):
+                assert burau_eval_trunc(w, precision) == functools.reduce(
+                    operator.mul, [g.truncate(precision) for g in gens],
+                    TruncMatrix.identity(n, precision))
 
 
 def test_trunc_eval_matches_exact():
