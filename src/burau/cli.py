@@ -328,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--n", type=int, default=5)
+        sp.add_argument("--n", type=positive_int, default=5)
         sp.add_argument("--let", action="append", metavar="NAME=WORD",
                         help="bind NAME for use inside --word "
                         "(ALPHA and DELTA are built in)")
@@ -380,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_approximate)
 
     sp = sub.add_parser("search", help="bounded commutator search")
-    sp.add_argument("--n", type=int, default=5)
+    sp.add_argument("--n", type=positive_int, default=5)
     sp.add_argument("--let", action="append", metavar="NAME=WORD")
     mode = sp.add_mutually_exclusive_group(required=True)
     mode.add_argument("--config", help="JSON config file")

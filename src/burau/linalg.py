@@ -23,8 +23,9 @@ would be mostly zero digits, take the entrywise product instead.
 A truncated matrix is the (N, n, n) numpy stack of its s^k coefficient
 matrices, with Python-int entries.  It is reached from an exact matrix by
 ``LaurentMatrix.truncate``, which reads each entry's s-coefficients straight
-into the stack.  :func:`trunc_mul` is the one product in Z[s]/(s^N), for
-``TruncMatrix`` and for the commutator search's batches.
+into the stack.  One batched kernel serves ``TruncMatrix`` and the search:
+:func:`trunc_mul` multiplies each stack of a batch (N, A, n, n) by each of
+another, and :func:`trunc_depths` reads the depth of each stack of a batch.
 
 Integer matrices double as s-adic coefficients and as vectors in Z^(n^2)
 (row-major) for the Hermite-normal-form machinery at the bottom of the file.
@@ -459,8 +460,7 @@ class LaurentMatrix(SquareMatrix):
 
         Reassembling sum_i s^i * coeff[i] recovers the matrix modulo s^N.
         """
-        m = self.truncate(precision)
-        return [m.coefficient(k) for k in range(precision)]
+        return [IntMatrix(c) for c in self.truncate(precision).stack.tolist()]
 
     def truncate(self, precision: int) -> "TruncMatrix":
         """The image in Z[s]/(s^precision) under t = 1 + s, entry by entry:
@@ -518,19 +518,31 @@ class LaurentMatrix(SquareMatrix):
 
 
 def trunc_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product in Z[s]/(s^p) of coefficient stacks, precision first.
+    """Every product in Z[s]/(s^p) of a stack of ``a`` (p, A, n, n) by one
+    of ``b`` (p, B, n, n), precision first: (p, A * B, n, n), ``a``'s index
+    major.  Degree k is one matrix product: the rows (i, r) of ``a``'s
+    coefficients of degree 0..k side by side, times the columns (j, c) of
+    ``b``'s coefficients of degree k..0 stacked.  The result has ``b``'s
+    dtype: exact for object stacks of Python ints, wrapping for int64,
+    whose callers bound the entries first."""
+    p, na, n, _ = a.shape
+    nb = b.shape[1]
+    out = np.empty((p, na, nb, n, n), dtype=b.dtype)
+    for k in range(p):
+        lhs = a[:k + 1].transpose(1, 2, 0, 3).reshape(na * n, (k + 1) * n)
+        rhs = b[k::-1].transpose(0, 2, 1, 3).reshape((k + 1) * n, nb * n)
+        out[k] = (lhs @ rhs).reshape(na, n, nb, n).transpose(0, 2, 1, 3)
+    return out.reshape(p, na * nb, n, n)
 
-    ``a`` is one stack (p, n, n); ``b`` is one stack (p, n, n) or a batch
-    (p, T, n, n), each of whose T matrices is multiplied by ``a`` on the
-    left.  The result has the dtype of ``b``: exact for object stacks of
-    Python ints, wrapping for int64, whose callers bound the entries first.
-    """
-    p = a.shape[0]
-    out = np.zeros_like(b)
-    for i in range(p):
-        for j in range(p - i):
-            out[i + j] += a[i] @ b[j]
-    return out
+
+def trunc_depths(stacks: np.ndarray) -> np.ndarray:
+    """Per stack of a batch (p, B, n, n): the largest k <= p with the stack
+    congruent to I mod s^k, so p when it is I to full precision."""
+    p, _, n, _ = stacks.shape
+    off = stacks != 0
+    off[0] = stacks[0] != np.eye(n, dtype=stacks.dtype)
+    off = off.any(axis=(2, 3))
+    return np.where(off.any(axis=0), off.argmax(axis=0), p)
 
 
 class TruncMatrix:
@@ -583,7 +595,8 @@ class TruncMatrix:
 
     def __mul__(self, other: "TruncMatrix") -> "TruncMatrix":
         self._check(other)
-        return TruncMatrix(trunc_mul(self.stack, other.stack))
+        return TruncMatrix(trunc_mul(self.stack[:, None],
+                                     other.stack[:, None])[:, 0])
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, TruncMatrix)
@@ -603,10 +616,7 @@ class TruncMatrix:
         A return of N means "at least N": the matrix is the identity to full
         precision and only the exact path can distinguish deeper agreement.
         """
-        off = self.stack != 0
-        off[0] = self.stack[0] != np.eye(self.n, dtype=object)
-        ks = np.flatnonzero(off.any(axis=(1, 2)))
-        return int(ks[0]) if ks.size else self.precision
+        return int(trunc_depths(self.stack[:, None])[0])
 
     def __pow__(self, k: int) -> "TruncMatrix":
         """A^k for any integer k.

@@ -99,17 +99,27 @@ def burau_eval(w: BraidWord) -> LaurentMatrix:
                 LaurentMatrix.identity(w.n))
 
 
+#: letters per exact image of a literal run; column operations grow with it
+_CHUNK = 32
+
+
 def burau_eval_trunc(w: BraidWord, precision: int) -> TruncMatrix:
     """Image of a word in the ring truncated at s^precision.
 
-    The same fold as ``burau_eval``, with each literal run's exact image
-    pushed through ``LaurentMatrix.truncate``, a ring homomorphism.  Powers
-    go through ``TruncMatrix.__pow__``: the image of a pure braid is
-    unipotent there, so its power is a binomial series of a few products
-    however large the exponent.
+    The same fold as ``burau_eval``, with each literal run's exact image, in
+    chunks of ``_CHUNK`` letters, pushed through ``LaurentMatrix.truncate``,
+    a ring homomorphism.  Powers go through ``TruncMatrix.__pow__``: the
+    image of a pure braid is unipotent there, so its power is a binomial
+    series of a few products however large the exponent.
     """
-    return fold(w, lambda letters: _literal(w.n, letters).truncate(precision),
-                TruncMatrix.identity(w.n, precision), power=TruncMatrix.__pow__)
+    def leaf(letters):
+        out = _literal(w.n, letters[:_CHUNK]).truncate(precision)
+        for i in range(_CHUNK, len(letters), _CHUNK):
+            out *= _literal(w.n, letters[i:i + _CHUNK]).truncate(precision)
+        return out
+
+    return fold(w, leaf, TruncMatrix.identity(w.n, precision),
+                power=TruncMatrix.__pow__)
 
 
 # ---------------------------------------------------------------------------

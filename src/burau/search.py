@@ -10,13 +10,13 @@ index of L, then the index of R.  Structurally equal left and right halves
 are skipped (the commutator is trivial), as are trees nested deeper than
 the configured bound.
 
-Evaluation runs in the truncated ring on the terms' coefficient stacks.
-A prefix's continuations are multiplied as batches: all the sibling
-prefixes of one slot by one `linalg.trunc_mul`, and the last two slots as
-one outer block.  With two slots left after a prefix P, the candidates of
-one split of the remaining size run over P * A[a] * B[b], a-major and
-b-minor, so each block is the products of the stacks of P * A by those of
-B, computed one degree at a time as a single matrix product.  The batches
+Evaluation runs in the truncated ring on the terms' coefficient stacks,
+through the batched kernel of `linalg` (`trunc_mul`, `trunc_depths`).  A
+prefix's continuations are multiplied as batches: all the sibling prefixes
+of one slot by one `trunc_mul`, and the last two slots as one outer block.
+With two slots left after a prefix P, the candidates of one split of the
+remaining size run over P * A[a] * B[b], a-major and b-minor, so each
+block is the products of the stacks of P * A by those of B.  The batches
 are int64 when an a-priori bound on every product's entries fits, and
 exact Python integers (object dtype) otherwise.  A config whose term table
 would exceed `MAX_TABLE_TERMS` is refused, since the table is evaluated in
@@ -38,7 +38,7 @@ import numpy as np
 
 from .laurent import json_int
 from .liealg import GradedElement, orbit_key
-from .linalg import LaurentMatrix, TruncMatrix, trunc_mul
+from .linalg import LaurentMatrix, TruncMatrix, trunc_depths, trunc_mul
 from .rep import burau_eval, burau_eval_trunc
 from .words import (BraidWord, commutator, concat, letter_bound, parse_word,
                     word_format)
@@ -219,24 +219,6 @@ def _tree_word(tree: Tree, cfg: SearchConfig) -> BraidWord:
 # search
 
 
-def _pair_products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Every product of a stack of ``left`` (p, A, n, n) by one of ``right``
-    (p, B, n, n), in Z[s]/(s^p): (p, A * B, n, n), left index major.
-
-    Degree k is one matrix product: the rows (a, r) of the left stacks'
-    coefficients of degree 0..k side by side, times the columns (b, c) of
-    the right stacks' coefficients of degree k..0 stacked.
-    """
-    p, na, n, _ = left.shape
-    nb = right.shape[1]
-    out = np.empty((p, na, nb, n, n), dtype=right.dtype)
-    for k in range(p):
-        lhs = left[:k + 1].transpose(1, 2, 0, 3).reshape(na * n, (k + 1) * n)
-        rhs = right[k::-1].transpose(0, 2, 1, 3).reshape((k + 1) * n, nb * n)
-        out[k] = (lhs @ rhs).reshape(na, n, nb, n).transpose(0, 2, 1, 3)
-    return out.reshape(p, na * nb, n, n)
-
-
 def search_deep(cfg: SearchConfig) -> SearchOutcome:
     """Enumerate, evaluate, and verify candidates; see the module docstring
     for the ordering contract.  Results are deduplicated by the leading
@@ -258,7 +240,8 @@ def search_deep(cfg: SearchConfig) -> SearchOutcome:
     dtype = np.int64 if bound < 1 << 62 else object
     term_arrays = [a if a is None else a.astype(dtype) for a in term_arrays]
 
-    ident = TruncMatrix.identity(n, precision).stack.astype(dtype)
+    # a prefix is a batch of one stack: (p, 1, n, n)
+    ident = TruncMatrix.identity(n, precision).stack[:, None].astype(dtype)
 
     counter = 0
     exhausted = False
@@ -276,14 +259,10 @@ def search_deep(cfg: SearchConfig) -> SearchOutcome:
         """Record the raw hits of the block ``out`` (p, B, n, n), the next B
         candidates; ``words_of(t)`` is the term words of its t-th."""
         nonlocal counter
-        const_ok = (out[0] == ident[0]).all(axis=(1, 2))
-        if target > 1:
-            const_ok &= (out[1:target] == 0).all(axis=(0, 2, 3))
-        for t in np.nonzero(const_ok)[0]:
-            deep = out[target:, t].any(axis=(1, 2))
-            if deep.any():
-                raw_hits.append((counter + int(t), words_of(int(t)),
-                                 target + int(deep.argmax())))
+        depths = trunc_depths(out)
+        for t in np.flatnonzero((depths >= target) & (depths < precision)):
+            raw_hits.append((counter + int(t), words_of(int(t)),
+                             int(depths[t])))
         counter += out.shape[1]
 
     def emit(remaining: int, slots: int, prefix_words: tuple[BraidWord, ...],
@@ -310,8 +289,8 @@ def search_deep(cfg: SearchConfig) -> SearchOutcome:
                 lefts = trunc_mul(prefix, term_arrays[size][:, :rows])
                 step = max(1, _BLOCK // width)
                 for a0 in range(0, rows, step):
-                    block = _pair_products(lefts[:, a0:a0 + step],
-                                           term_arrays[rest])
+                    block = trunc_mul(lefts[:, a0:a0 + step],
+                                      term_arrays[rest])
                     scan(block[:, :limit - a0 * width],
                          lambda t: prefix_words + (
                              level[a0 + t // width], right[t % width]))
@@ -319,7 +298,7 @@ def search_deep(cfg: SearchConfig) -> SearchOutcome:
                 nexts = trunc_mul(prefix, term_arrays[size])
                 for idx, word in enumerate(level):
                     if not emit(remaining - size, slots - 1,
-                                prefix_words + (word,), nexts[:, idx]):
+                                prefix_words + (word,), nexts[:, idx, None]):
                         return False
             if exhausted:
                 return False

@@ -429,6 +429,20 @@ def test_coeff_degree_zero_is_a_usage_error():
     assert error_kind(err) == "UsageError"
 
 
+def test_nonpositive_strand_counts_are_usage_errors():
+    extra = {"coeff": ["--k", "1"], "expand": ["--precision", "2"]}
+    for command in ("eval", "check", "depth", "coeff", "expand"):
+        for n, word in (("0", ""), ("-2", "s1")):
+            code, _, err = run([command, "--n", n, "--word", word]
+                               + extra.get(command, []))
+            assert code == 2
+            assert error_kind(err) == "UsageError"
+            assert "--n" in err
+    code, _, err = run(["search", "--n", "0", "--alpha", "--budget", "1"])
+    assert code == 2
+    assert error_kind(err) == "UsageError"
+
+
 def test_negative_search_budget_is_a_usage_error():
     code, _, err = run(["search", "--alpha", "--budget", "-5"])
     assert code == 2

@@ -13,7 +13,7 @@ from burau.laurent import S, LaurentPoly, T, T_INV, TruncSeries
 from burau.linalg import (IntLattice, IntMatrix, LaurentMatrix,
                           NonUnitDeterminant, RatMatrix, TruncMatrix,
                           _kronecker_product, matrix_lattice, perm_matrix,
-                          row_hnf)
+                          row_hnf, trunc_depths, trunc_mul)
 from burau.liealg import g_basis, gen_x, gen_y
 from burau.rep import burau_eval, burau_eval_trunc, burau_gen, form_j
 from burau.words import (Perm, Power, alpha_word, commutator, concat, gen,
@@ -340,6 +340,48 @@ def test_trunc_kernel_is_exact_far_above_int64():
                                    + [big() for _ in range(p - depth)]
                                    for j in range(n)] for i in range(n)]))
         assert deep.depth_bound() == depth
+
+
+@pytest.mark.parametrize("bits, dtype", [(100, object), (8, np.int64)])
+def test_batched_trunc_mul_is_every_pair_product_a_major(bits, dtype):
+    rng = random.Random(210)
+    n, p = 4, 5
+
+    def batch(size):
+        """(p, size, n, n) of random coefficients of up to ``bits`` bits."""
+        return np.array([[[[rng.choice((1, -1)) * rng.getrandbits(bits)
+                            for _ in range(n)] for _ in range(n)]
+                          for _ in range(size)] for _ in range(p)],
+                        dtype=object).astype(dtype)
+
+    for na in (1, 3):
+        for nb in (1, 3):
+            a, b = batch(na), batch(nb)
+            out = trunc_mul(a, b)
+            assert out.shape == (p, na * nb, n, n) and out.dtype == dtype
+            for i in range(na):
+                for j in range(nb):
+                    left = TruncMatrix(a[:, i].astype(object))
+                    right = TruncMatrix(b[:, j].astype(object))
+                    got = TruncMatrix(out[:, i * nb + j].astype(object))
+                    assert got.rows == _grid_product(left, right)
+            if dtype is object:
+                assert max(abs(v) for v in out.ravel()) > 1 << 200
+
+
+def test_trunc_depths_reads_each_stack_of_a_batch():
+    n, p = 3, 4
+    ident = TruncMatrix.identity(n, p).stack
+    head = TruncMatrix.from_int(perm_matrix([2, 1, 3]), p).stack
+    middle = ident.copy()
+    middle[2, 0, 1] = 7
+    full_below = ident.copy()
+    full_below[p - 1, 2, 2] = -1
+    mats, depths = (ident, head, middle, full_below), [p, 0, 2, p - 1]
+    stacks = np.stack(mats, axis=1)
+    for dtype in (object, np.int64):
+        assert trunc_depths(stacks.astype(dtype)).tolist() == depths
+    assert [TruncMatrix(m).depth_bound() for m in mats] == depths
 
 
 def test_laurent_json_round_trip():

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from burau import rep
 from burau.laurent import LaurentPoly, T, T_INV
 from burau.liealg import gen_x
 from burau.linalg import IntMatrix, LaurentMatrix, TruncMatrix, perm_matrix
@@ -102,21 +103,31 @@ def test_eval_is_multiplicative():
         assert burau_eval(concat(u, v)) == burau_eval(u) * burau_eval(v)
 
 
-def test_literal_runs_are_products_of_generator_images():
+def test_literal_runs_are_products_of_generator_images(monkeypatch):
     # an oracle that shares nothing with the evaluator's column operations
     rng = random.Random(403)
+    runs = []
+    real = rep._literal
+    monkeypatch.setattr(rep, "_literal",
+                        lambda n, letters: runs.append(len(letters))
+                        or real(n, letters))
     for n in range(2, 7):
-        for _ in range(4):
+        lengths = [rng.randint(0, 9) for _ in range(4)] + [33, 64, 100]
+        for length in lengths:
             letters = [(rng.randint(1, n - 1), rng.choice((1, -1)))
-                       for _ in range(rng.randint(0, 9))]
+                       for _ in range(length)]
             w = Literal(n, letters)
             gens = [burau_gen(n, i, s) for i, s in letters]
             assert burau_eval(w) == functools.reduce(
                 operator.mul, gens, LaurentMatrix.identity(n))
             for precision in (1, 3, 5):
+                runs.clear()
                 assert burau_eval_trunc(w, precision) == functools.reduce(
                     operator.mul, [g.truncate(precision) for g in gens],
                     TruncMatrix.identity(n, precision))
+                # the truncated evaluation cuts a run into chunks
+                assert max(runs) <= rep._CHUNK == 32
+                assert len(runs) == max(1, -(-length // rep._CHUNK))
 
 
 def test_trunc_eval_matches_exact():

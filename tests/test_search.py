@@ -343,8 +343,8 @@ _ORACLE_CONFIGS = {
 def test_search_matches_the_one_by_one_reference(name, monkeypatch):
     cfg = _ORACLE_CONFIGS[name]
     dtypes = set()
-    real = search._pair_products
-    monkeypatch.setattr(search, "_pair_products",
+    real = search.trunc_mul
+    monkeypatch.setattr(search, "trunc_mul",
                         lambda a, b: dtypes.add(b.dtype) or real(a, b))
     out = search_deep(cfg)
     ref = _reference_search(cfg)
@@ -353,7 +353,8 @@ def test_search_matches_the_one_by_one_reference(name, monkeypatch):
     assert (out.candidates, out.budget_exhausted) == (ref["candidates"],
                                                       ref["exhausted"])
     assert out.hits
-    # the last two slots ran as outer blocks, on the dtype the pool needs
+    # every batch, the two-slot blocks among them, ran on the dtype the
+    # pool needs
     assert dtypes == {np.dtype(object if "exact" in name else np.int64)}
 
 
