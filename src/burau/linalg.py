@@ -23,9 +23,11 @@ would be mostly zero digits, take the entrywise product instead.
 A truncated matrix is the (N, n, n) numpy stack of its s^k coefficient
 matrices, with Python-int entries.  It is reached from an exact matrix by
 ``LaurentMatrix.truncate``, which reads each entry's s-coefficients straight
-into the stack.  One batched kernel serves ``TruncMatrix`` and the search:
-:func:`trunc_mul` multiplies each stack of a batch (N, A, n, n) by each of
-another, and :func:`trunc_depths` reads the depth of each stack of a batch.
+into the stack, and from a word by ``rep.burau_eval_trunc``, which builds
+the stack directly.  One batched kernel serves ``TruncMatrix`` and the
+search: :func:`trunc_mul` multiplies each stack of a batch (N, A, n, n) by
+each of another, in int64 where a bound on the operands shows that nothing
+can wrap, and :func:`trunc_depths` reads the depth of each stack of a batch.
 
 Integer matrices double as s-adic coefficients and as vectors in Z^(n^2)
 (row-major) for the Hermite-normal-form machinery at the bottom of the file.
@@ -517,6 +519,11 @@ class LaurentMatrix(SquareMatrix):
 # truncated matrices: stacks of coefficient matrices, precision first
 
 
+def _max_abs(a: np.ndarray) -> int:
+    """The largest |entry| of an object stack of Python ints."""
+    return max(a.max(), -a.min()) if a.size else 0
+
+
 def trunc_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Every product in Z[s]/(s^p) of a stack of ``a`` (p, A, n, n) by one
     of ``b`` (p, B, n, n), precision first: (p, A * B, n, n), ``a``'s index
@@ -524,15 +531,24 @@ def trunc_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     coefficients of degree 0..k side by side, times the columns (j, c) of
     ``b``'s coefficients of degree k..0 stacked.  The result has ``b``'s
     dtype: exact for object stacks of Python ints, wrapping for int64,
-    whose callers bound the entries first."""
+    whose callers bound the entries first.
+
+    Object operands are multiplied in int64 when max|a| max|b| n p < 2^62:
+    every output entry, and every partial sum of it, is a sum of at most
+    p n such products, so none can wrap.  The result is then converted
+    back to an object stack of Python ints."""
     p, na, n, _ = a.shape
     nb = b.shape[1]
+    dtype = b.dtype
+    if (a.dtype == b.dtype == object
+            and _max_abs(a) * _max_abs(b) * n * p < 1 << 62):
+        a, b = a.astype(np.int64), b.astype(np.int64)
     out = np.empty((p, na, nb, n, n), dtype=b.dtype)
     for k in range(p):
         lhs = a[:k + 1].transpose(1, 2, 0, 3).reshape(na * n, (k + 1) * n)
         rhs = b[k::-1].transpose(0, 2, 1, 3).reshape((k + 1) * n, nb * n)
         out[k] = (lhs @ rhs).reshape(na, n, nb, n).transpose(0, 2, 1, 3)
-    return out.reshape(p, na * nb, n, n)
+    return out.reshape(p, na * nb, n, n).astype(dtype, copy=False)
 
 
 def trunc_depths(stacks: np.ndarray) -> np.ndarray:

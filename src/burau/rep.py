@@ -11,9 +11,15 @@ matrix; gamma_check certifies membership exactly.
 Writing A in Gamma as a power series in s gives integer coefficient
 matrices (A)_k; the depth of A is the smallest k >= 1 with (A)_k nonzero.
 gamma_coeff extracts the leading coefficient as a GradedElement.
+
+Words are evaluated by one fold whose literal runs are column operations:
+over Z[t^±1] for the exact image, and on the coefficient stack in
+s-coordinates for the image mod s^N, which makes no Laurent object.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .laurent import LaurentPoly, ONE, ZERO, T, T_INV
 from .linalg import LaurentMatrix, TruncMatrix
@@ -99,27 +105,52 @@ def burau_eval(w: BraidWord) -> LaurentMatrix:
                 LaurentMatrix.identity(w.n))
 
 
-#: letters per exact image of a literal run; column operations grow with it
-_CHUNK = 32
+def _literal_stack(n: int, letters, precision: int) -> np.ndarray:
+    """A literal run's image in Z[s]/(s^precision), as the (p, n, n) object
+    stack of ``TruncMatrix``: the column operations of ``_literal`` in
+    s-coordinates, t = 1 + s, with no Laurent entry on the way.
+
+    A column is a flat list whose entry k*n + r is the s^k coefficient of
+    row r, so multiplying by s shifts it n places.  sigma_i takes columns
+    (a, b) at (i, i+1) to (b + s(b - a), a) and sigma_i^-1 to
+    (b, b + t^-1 (a - b)), where c' = t^-1 c is the running alternating sum
+    c'[k] = c[k] - c'[k-1] over degrees.  A letter costs O(p n) whatever
+    the length of the run.
+    """
+    size = precision * n
+    cols = [[0] * size for _ in range(n)]
+    for c in range(n):
+        cols[c][c] = 1
+    for i, s in letters:
+        a, b = cols[i - 1], cols[i]
+        if s > 0:
+            cols[i - 1] = b[:n] + [y + v - u for y, u, v in zip(b[n:], a, b)]
+            cols[i] = a
+        else:
+            d = [u - v for u, v in zip(a, b)]
+            for j in range(n, size):
+                d[j] -= d[j - n]
+            cols[i - 1] = b
+            cols[i] = [v + x for v, x in zip(b, d)]
+    return np.array(cols, dtype=object).reshape(n, precision, n).transpose(1, 2, 0)
 
 
-def burau_eval_trunc(w: BraidWord, precision: int) -> TruncMatrix:
+def burau_eval_trunc(w: BraidWord, precision: int,
+                     memo: dict | None = None) -> TruncMatrix:
     """Image of a word in the ring truncated at s^precision.
 
-    The same fold as ``burau_eval``, with each literal run's exact image, in
-    chunks of ``_CHUNK`` letters, pushed through ``LaurentMatrix.truncate``,
-    a ring homomorphism.  Powers go through ``TruncMatrix.__pow__``: the
-    image of a pure braid is unipotent there, so its power is a binomial
-    series of a few products however large the exponent.
+    The same fold as ``burau_eval``, with leaves built on the coefficient
+    stack by ``_literal_stack``: no Laurent polynomial or matrix is made.
+    Powers go through ``TruncMatrix.__pow__``: the image of a pure braid is
+    unipotent there, so its power is a binomial series of a few products
+    however large the exponent.  ``memo`` is the fold's: callers that
+    evaluate several words sharing nodes at one precision pass one dict,
+    and keep the words alive while it is in use.
     """
-    def leaf(letters):
-        out = _literal(w.n, letters[:_CHUNK]).truncate(precision)
-        for i in range(_CHUNK, len(letters), _CHUNK):
-            out *= _literal(w.n, letters[i:i + _CHUNK]).truncate(precision)
-        return out
-
-    return fold(w, leaf, TruncMatrix.identity(w.n, precision),
-                power=TruncMatrix.__pow__)
+    return fold(w, lambda letters: TruncMatrix(
+                    _literal_stack(w.n, letters, precision)),
+                TruncMatrix.identity(w.n, precision),
+                memo=memo, power=TruncMatrix.__pow__)
 
 
 # ---------------------------------------------------------------------------

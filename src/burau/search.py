@@ -44,8 +44,10 @@ from .words import (BraidWord, commutator, concat, letter_bound, parse_word,
                     word_format)
 
 #: the most commutator terms a config may have.  The whole term table is
-#: built and evaluated before the budget applies, at about 3.5 ms a term at
-#: nesting 3 (2-CPU x86 box, Python 3.11), so the cap bounds that at ~15 s.
+#: built and evaluated before the budget applies, at about 0.33 ms a term at
+#: nesting 3 (5553 terms of a three-word pool in 1.8 s, a third of it
+#: enumerating the trees; 2-CPU x86 box, Python 3.11), so the cap bounds
+#: that near 1.5 s.
 MAX_TABLE_TERMS = 4096
 #: the most candidates the last two slots multiply out in one block
 _BLOCK = 1024
@@ -209,10 +211,33 @@ def _terms_by_size(cfg: SearchConfig) -> list[list[Tree]]:
     return terms
 
 
-def _tree_word(tree: Tree, cfg: SearchConfig) -> BraidWord:
-    if isinstance(tree, int):
-        return cfg.pool[tree]
-    return commutator(_tree_word(tree[0], cfg), _tree_word(tree[1], cfg))
+def _term_table(cfg: SearchConfig) -> tuple[list[list[BraidWord]],
+                                             list[np.ndarray | None]]:
+    """The term words of each size, in contract order, and their
+    coefficient stacks as one table (p, T, n, n) per size (None when a size
+    has no term).  [L, R] is built from the word objects of L and R, and
+    every table is folded through one memo that ``words`` keeps alive, so a
+    commutator costs three products over its already-folded halves.  The
+    tables are int64 when an a-priori bound on every candidate product's
+    entries fits, and exact Python integers (object dtype) otherwise."""
+    built: dict[Tree, BraidWord] = {}
+    words: list[list[BraidWord]] = []
+    for level in _terms_by_size(cfg):
+        for tree in level:
+            built[tree] = (cfg.pool[tree] if isinstance(tree, int)
+                           else commutator(built[tree[0]], built[tree[1]]))
+        words.append([built[tree] for tree in level])
+    memo: dict = {}
+    arrays = [np.stack([burau_eval_trunc(w, cfg.precision, memo).stack
+                        for w in level], axis=1) if level else None
+              for level in words]
+    # a product of at most m = max_terms stacks whose entries have size at
+    # most c has entries, and partial sums, of size at most c^m (n p)^(m-1)
+    c = max(int(np.abs(a).max()) for a in arrays if a is not None)
+    m = cfg.max_terms
+    dtype = (np.int64 if c ** m * (cfg.n * cfg.precision) ** (m - 1) < 1 << 62
+             else object)
+    return words, [a if a is None else a.astype(dtype) for a in arrays]
 
 
 # ---------------------------------------------------------------------------
@@ -225,20 +250,9 @@ def search_deep(cfg: SearchConfig) -> SearchOutcome:
     coefficient's ``liealg.orbit_key`` (its class under sign and the S_n
     action), keeping the earliest candidate."""
     n, precision, target = cfg.n, cfg.precision, cfg.target_depth
-    term_words = [[_tree_word(t, cfg) for t in level]
-                  for level in _terms_by_size(cfg)]
+    term_words, term_arrays = _term_table(cfg)
     max_term_size = len(term_words) - 1
-    # term tables (p, T, n, n): the coefficient stacks of each size's terms
-    term_arrays = [
-        np.stack([burau_eval_trunc(w, precision).stack for w in level], axis=1)
-        if level else None
-        for level in term_words]
-    # a product of at most m = max_terms stacks whose entries have size at
-    # most c has entries, and partial sums, of size at most c^m (n p)^(m-1)
-    c = max(int(np.abs(a).max()) for a in term_arrays if a is not None)
-    bound = c ** cfg.max_terms * (n * precision) ** (cfg.max_terms - 1)
-    dtype = np.int64 if bound < 1 << 62 else object
-    term_arrays = [a if a is None else a.astype(dtype) for a in term_arrays]
+    dtype = term_arrays[1].dtype
 
     # a prefix is a batch of one stack: (p, 1, n, n)
     ident = TruncMatrix.identity(n, precision).stack[:, None].astype(dtype)

@@ -220,20 +220,19 @@ def test_witness_power_costs_no_products(monkeypatch):
 
 
 def test_truncated_evaluation_multiplies_no_series(monkeypatch):
-    # truncated images are exact literal runs pushed through
-    # LaurentMatrix.truncate and multiplied as stacks: no entry-by-entry
-    # series arithmetic anywhere on the way
-    count = [0]
-    real = laurent.TruncSeries.__mul__
+    # truncated images are literal runs built on the coefficient stack and
+    # multiplied as stacks: no entry-by-entry series or Laurent arithmetic
+    # anywhere on the way
+    count = {}
+    for cls in (laurent.TruncSeries, laurent.LaurentPoly):
+        def counting(a, b, real=cls.__mul__, name=cls.__name__):
+            count[name] = count.get(name, 0) + 1
+            return real(a, b)
 
-    def counting(a, b):
-        count[0] += 1
-        return real(a, b)
-
-    monkeypatch.setattr(laurent.TruncSeries, "__mul__", counting)
+        monkeypatch.setattr(cls, "__mul__", counting)
     build_witness_library(5, 4)
     burau_eval_trunc(alpha_word(5), 6)
-    assert count[0] == 0
+    assert count == {}
 
 
 # ---------------------------------------------------------------------------

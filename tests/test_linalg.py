@@ -369,6 +369,39 @@ def test_batched_trunc_mul_is_every_pair_product_a_major(bits, dtype):
                 assert max(abs(v) for v in out.ravel()) > 1 << 200
 
 
+_N, _P = 4, 3
+_UNDER = (1 << 62) // (3 * _N * _P) - 1
+
+
+@pytest.mark.parametrize("a_max, b_max", [
+    (_UNDER, 3),                    # just under the bound: int64
+    (_UNDER + 2, 3),                # just over it: Python ints
+    ((1 << 31) - 1, (1 << 31) - 1),  # each product fits, p n of them do not
+    (1 << 40, 1 << 40),             # each product would wrap
+])
+def test_object_trunc_mul_is_exact_on_both_sides_of_the_int64_bound(
+        a_max, b_max):
+    # object operands run in int64 when max|a| max|b| n p < 2^62; with every
+    # entry at its largest size and one sign, degree p - 1 sums all p n
+    # products, so a bound without the p n factor would wrap
+    rng = random.Random(211)
+    for signed in (False, True):
+        def stack(size):
+            return np.array([[[size * (rng.choice((1, -1)) if signed else 1)
+                               for _ in range(_N)] for _ in range(_N)]
+                             for _ in range(_P)], dtype=object)[:, None]
+
+        a, b = stack(a_max), stack(b_max)
+        out = trunc_mul(a, b)
+        assert out.shape == (_P, 1, _N, _N) and out.dtype == object
+        assert all(type(x) is int for x in out.ravel())
+        got = TruncMatrix(out[:, 0])
+        assert got.rows == _grid_product(TruncMatrix(a[:, 0]),
+                                         TruncMatrix(b[:, 0]))
+        if not signed:
+            assert got.coefficient(_P - 1)[0, 0] == _P * _N * a_max * b_max
+
+
 def test_trunc_depths_reads_each_stack_of_a_batch():
     n, p = 3, 4
     ident = TruncMatrix.identity(n, p).stack

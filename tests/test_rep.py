@@ -125,9 +125,30 @@ def test_literal_runs_are_products_of_generator_images(monkeypatch):
                 assert burau_eval_trunc(w, precision) == functools.reduce(
                     operator.mul, [g.truncate(precision) for g in gens],
                     TruncMatrix.identity(n, precision))
-                # the truncated evaluation cuts a run into chunks
-                assert max(runs) <= rep._CHUNK == 32
-                assert len(runs) == max(1, -(-length // rep._CHUNK))
+                # the truncated evaluation builds no exact run at all
+                assert runs == []
+
+
+def test_literal_stack_is_the_truncated_exact_run():
+    # the s-coordinate column operations against the exact column
+    # operations pushed through LaurentMatrix.truncate
+    rng = random.Random(404)
+    for n in range(2, 9):
+        runs = [[(rng.randint(1, n - 1), rng.choice((1, -1)))
+                 for _ in range(length)] for length in (0, 1, 2, 7, 30, 100)]
+        runs.append([(rng.randint(1, n - 1), -1) for _ in range(40)])
+        pure = []
+        while len(pure) < 100:
+            i = rng.randint(1, n - 1)
+            pure += pure_gen(n, i, rng.randint(i + 1, n)).letters
+        runs.append(pure)
+        for letters in runs:
+            exact = rep._literal(n, letters)
+            for precision in range(1, 9):
+                got = rep._literal_stack(n, letters, precision)
+                assert got.shape == (precision, n, n) and got.dtype == object
+                assert all(type(x) is int for x in got.ravel())
+                assert TruncMatrix(got) == exact.truncate(precision)
 
 
 def test_trunc_eval_matches_exact():

@@ -150,7 +150,8 @@ def test_hits_within_exact_cap_get_no_truncated_recheck(monkeypatch):
     words = []
     real = search.burau_eval_trunc
     monkeypatch.setattr(search, "burau_eval_trunc",
-                        lambda w, p: words.append(w) or real(w, p))
+                        lambda w, p, memo=None: words.append(w)
+                        or real(w, p, memo))
     out = search_deep(cfg)
     assert [h.index for h in out.hits] == [21, 22]
     # one evaluation per term table entry, none per hit
@@ -164,10 +165,11 @@ def test_truncated_recheck_beyond_exact_cap_still_guards(monkeypatch):
     real = search.burau_eval_trunc
     calls = []
 
-    def lying(w, p):
+    def lying(w, p, memo=None):
         # the term tables are honest; every recheck after them is not
         calls.append(w)
-        return real(w, p) if len(calls) <= terms else TruncMatrix.identity(w.n, p)
+        return (real(w, p, memo) if len(calls) <= terms
+                else TruncMatrix.identity(w.n, p))
 
     monkeypatch.setattr(search, "burau_eval_trunc", lying)
     with pytest.raises(AssertionError, match="disagrees with recheck"):
@@ -263,14 +265,39 @@ def test_term_count_matches_the_term_table(pool_size, nesting):
             == sum(len(level) for level in table))
 
 
+_TABLE_CONFIGS = {
+    "alpha": alpha_search_config(),
+    "delta": delta_search_config(),
+    # A_12^(10^7) puts the products of two terms beyond int64
+    "exact-ints": SearchConfig(
+        5, 2, [Power(5, pure_gen(5, 1, 2), 10 ** 7), pure_gen(5, 1, 3),
+               pure_gen(5, 2, 3)], max_nesting=2, max_terms=2, precision=4),
+}
+
+
+@pytest.mark.parametrize("name", list(_TABLE_CONFIGS))
+def test_shared_memo_term_table_matches_each_term_alone(name):
+    cfg = _TABLE_CONFIGS[name]
+    words, arrays = search._term_table(cfg)
+    assert arrays[1].dtype == (object if "exact" in name else np.int64)
+    for level, table in zip(words[1:], arrays[1:]):
+        assert table.shape[1] == len(level)
+        for t, w in enumerate(level):
+            alone = burau_eval_trunc(w, cfg.precision)
+            assert TruncMatrix(table[:, t].astype(object)) == alone
+    # [L, R] is built from the term words of L and R themselves
+    ids = {id(w) for level in words for w in level}
+    for level in words[2:]:
+        assert all(id(w.left) in ids and id(w.right) in ids for w in level)
+
+
 # ---------------------------------------------------------------------------
 # differential oracle: every candidate evaluated on its own
 
 
 def _reference_candidates(cfg: SearchConfig):
     """Every candidate's term words and their sizes, in contract order."""
-    terms = [[search._tree_word(t, cfg) for t in level]
-             for level in search._terms_by_size(cfg)]
+    terms = search._term_table(cfg)[0]
     largest = len(terms) - 1
 
     def sequences(total, slots):
