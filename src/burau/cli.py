@@ -13,6 +13,7 @@ error that ends a command prints one JSON line {"error", "kind"} on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -422,9 +423,13 @@ def _report(exc: Exception, code: int) -> int:
     return code
 
 
+#: the parser, built once per process: parsing keeps no state on it
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.fn(args)
     except SystemExit as exc:  # --help
         return 2 if exc.code not in (0, None) else 0

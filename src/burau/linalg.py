@@ -26,8 +26,10 @@ matrices, with Python-int entries.  It is reached from an exact matrix by
 into the stack, and from a word by ``rep.burau_eval_trunc``, which builds
 the stack directly.  One batched kernel serves ``TruncMatrix`` and the
 search: :func:`trunc_mul` multiplies each stack of a batch (N, A, n, n) by
-each of another, in int64 where a bound on the operands shows that nothing
-can wrap, and :func:`trunc_depths` reads the depth of each stack of a batch.
+each of another as one block-Toeplitz matrix product over all N degrees, in
+float64 (BLAS) where a bound on the operands shows that every sum is an
+integer below 2^53, and on Python ints otherwise; :func:`trunc_depths`
+reads the depth of each stack of a batch.
 
 Integer matrices double as s-adic coefficients and as vectors in Z^(n^2)
 (row-major) for the Hermite-normal-form machinery at the bottom of the file.
@@ -35,6 +37,7 @@ Integer matrices double as s-adic coefficients and as vectors in Z^(n^2)
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -519,35 +522,55 @@ class LaurentMatrix(SquareMatrix):
 # truncated matrices: stacks of coefficient matrices, precision first
 
 
-def _max_abs(a: np.ndarray) -> int:
-    """The largest |entry| of an object stack of Python ints."""
-    return max(a.max(), -a.min()) if a.size else 0
+@functools.cache
+def _toeplitz_index(p: int) -> np.ndarray:
+    """(p, p) gather index into p degrees plus one zero block: entry
+    (i, k) is k - i for k >= i and p (the zero block) below the diagonal."""
+    i, k = np.indices((p, p))
+    return np.where(k >= i, k - i, p)
 
 
 def trunc_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Every product in Z[s]/(s^p) of a stack of ``a`` (p, A, n, n) by one
     of ``b`` (p, B, n, n), precision first: (p, A * B, n, n), ``a``'s index
-    major.  Degree k is one matrix product: the rows (i, r) of ``a``'s
-    coefficients of degree 0..k side by side, times the columns (j, c) of
-    ``b``'s coefficients of degree k..0 stacked.  The result has ``b``'s
-    dtype: exact for object stacks of Python ints, wrapping for int64,
-    whose callers bound the entries first.
+    major.  The result has ``b``'s dtype: exact for object stacks of Python
+    ints, wrapping for int64, whose callers bound the entries first.
 
-    Object operands are multiplied in int64 when max|a| max|b| n p < 2^62:
-    every output entry, and every partial sum of it, is a sum of at most
-    p n such products, so none can wrap.  The result is then converted
-    back to an object stack of Python ints."""
+    All p degrees are one matrix product.  The left side is the block row
+    [a_0 ... a_(p-1)], rows (i, r) and columns (degree, inner index).  The
+    right side is block upper Toeplitz: its block (d, k) is b_(k-d) for
+    k >= d and zero below, columns (k, j, c).  Block column k of the
+    product is then the sum over d <= k of a_d b_(k-d), the degree-k
+    coefficient.
+
+    The product runs in float64 (BLAS) when max|a| max|b| n p < 2^53, the
+    maxima read from the converted operands: every entry of the product,
+    and every partial sum of it in any order, is then an integer of size
+    below 2^53, a sum of at most p n products, so the result is exact
+    whatever the summation order or fused multiply-adds.  An entry above
+    2^53 converts to at least 2^53 and fails the bound, and one beyond
+    float range fails the conversion.  Otherwise the same product runs on
+    Python ints (object dtype)."""
     p, na, n, _ = a.shape
     nb = b.shape[1]
     dtype = b.dtype
-    if (a.dtype == b.dtype == object
-            and _max_abs(a) * _max_abs(b) * n * p < 1 << 62):
-        a, b = a.astype(np.int64), b.astype(np.int64)
-    out = np.empty((p, na, nb, n, n), dtype=b.dtype)
-    for k in range(p):
-        lhs = a[:k + 1].transpose(1, 2, 0, 3).reshape(na * n, (k + 1) * n)
-        rhs = b[k::-1].transpose(0, 2, 1, 3).reshape((k + 1) * n, nb * n)
-        out[k] = (lhs @ rhs).reshape(na, n, nb, n).transpose(0, 2, 1, 3)
+    try:
+        fa, fb = a.astype(np.float64), b.astype(np.float64)
+        fits = (int(np.abs(fa).max(initial=0))
+                * int(np.abs(fb).max(initial=0)) * n * p < 1 << 53)
+    except OverflowError:
+        fits = False
+    if fits:
+        a, b = fa, fb
+    else:
+        a, b = a.astype(object, copy=False), b.astype(object, copy=False)
+    lhs = a.transpose(1, 2, 0, 3).reshape(na * n, p * n)
+    padded = np.concatenate([b, np.zeros((1, nb, n, n), dtype=b.dtype)])
+    rhs = padded[_toeplitz_index(p)].transpose(0, 3, 1, 2, 4)
+    out = (lhs @ rhs.reshape(p * n, p * nb * n)).reshape(na, n, p, nb, n)
+    out = out.transpose(2, 0, 3, 1, 4)
+    if fits:  # through int64: float64 to object would give Python floats
+        out = out.astype(np.int64, order="C")
     return out.reshape(p, na * nb, n, n).astype(dtype, copy=False)
 
 

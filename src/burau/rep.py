@@ -253,15 +253,18 @@ def gamma_coeff(g: GammaElement | LaurentMatrix | BraidWord, k: int) -> GradedEl
     """The degree-k coefficient of an element of depth >= k.
 
     Raises DepthTooSmall when the element visibly fails to lie that deep;
-    the result is the zero element when it lies strictly deeper.
+    the result is the zero element when it lies strictly deeper.  A word
+    is evaluated mod s^(k+1) only, never exactly: truncation is a ring
+    homomorphism, so this is the truncation of its exact image.
     """
-    if isinstance(g, BraidWord):
-        g = burau_gamma(g)
-    elif isinstance(g, LaurentMatrix):
+    if isinstance(g, LaurentMatrix):
         g = GammaElement(g)
     if k < 1:
         raise ValueError("coefficient degree must be >= 1")
-    m = g.matrix.truncate(k + 1)
+    if isinstance(g, BraidWord):
+        m = burau_eval_trunc(g, k + 1)
+    else:
+        m = g.matrix.truncate(k + 1)
     depth = m.depth_bound()
     if depth < k:
         raise DepthTooSmall(f"element has depth {depth} < {k}")

@@ -18,9 +18,11 @@ With two slots left after a prefix P, the candidates of one split of the
 remaining size run over P * A[a] * B[b], a-major and b-minor, so each
 block is the products of the stacks of P * A by those of B.  The batches
 are int64 when an a-priori bound on every product's entries fits, and
-exact Python integers (object dtype) otherwise.  A config whose term table
-would exceed `MAX_TABLE_TERMS` is refused, since the table is evaluated in
-full before the budget applies.
+exact Python integers (object dtype) otherwise; `trunc_mul` runs each one
+as a single float64 matrix product when its operands bound every sum below
+2^53, on Python ints otherwise, and returns the batch's dtype.  A config
+whose term table would exceed `MAX_TABLE_TERMS` is refused, since the
+table is evaluated in full before the budget applies.
 
 Every raw hit is rechecked once, apart from the scan: exactly for words
 within `exact_cap` letters (the scan's depth is below the precision, so
@@ -185,30 +187,24 @@ class SearchOutcome:
 Tree = object  # int (pool index) or (Tree, Tree)
 
 
-def _nesting(tree: Tree) -> int:
-    if isinstance(tree, int):
-        return 0
-    return 1 + max(_nesting(tree[0]), _nesting(tree[1]))
-
-
 def _terms_by_size(cfg: SearchConfig) -> list[list[Tree]]:
-    """terms[s] = size-s commutator trees, in contract order; terms[0] unused."""
-    max_size = 2 ** cfg.max_nesting
-    terms: list[list[Tree]] = [[], list(range(len(cfg.pool)))]
-    for s in range(2, max_size + 1):
-        level: list[Tree] = []
-        for ls in range(1, s):
-            for left in terms[ls]:
-                for right in terms[s - ls]:
-                    if left == right:
-                        continue
-                    tree = (left, right)
-                    if _nesting(tree) <= cfg.max_nesting:
-                        level.append(tree)
+    """terms[s] = size-s commutator trees, in contract order; terms[0] unused.
+
+    Each tree is carried with its nesting, so a pair whose halves are
+    already nested ``max_nesting`` deep is skipped before it is built."""
+    top = cfg.max_nesting
+    # per size, (tree, nesting) pairs
+    terms: list[list[tuple[Tree, int]]] = [[], [(i, 0) for i in
+                                                 range(len(cfg.pool))]]
+    for s in range(2, 2 ** top + 1):
+        level = [((left, right), 1 + max(ln, rn))
+                 for ls in range(1, s)
+                 for left, ln in terms[ls] if ln < top
+                 for right, rn in terms[s - ls] if rn < top and left != right]
         if not level:
             break  # a one-word pool: no size beyond 1 has a term
         terms.append(level)
-    return terms
+    return [[tree for tree, _ in level] for level in terms]
 
 
 def _term_table(cfg: SearchConfig) -> tuple[list[list[BraidWord]],

@@ -14,6 +14,7 @@ import time
 import tracemalloc
 
 import burau
+from burau import cli
 from burau.cli import main
 from burau.density import MAX_DEGREE, MAX_N, MIN_N, default_library
 from burau.liealg import g_bracket, gen_x, gen_y
@@ -404,6 +405,42 @@ def test_usage_exit_codes():
     assert run_human(["--help"])[0] == 0
     assert run_human([])[0] == 2
     assert run_human(["no-such-command"])[0] == 2
+
+
+def test_reused_parser_prints_what_a_fresh_parser_prints(monkeypatch):
+    # main builds its parser once per process; no --let binding, --human
+    # flag or subcommand default may carry over to the next call
+    session = [
+        ["eval", "--n", "3", "--let", "B=s1^2", "--let", "C=s2",
+         "--word", "B C"],
+        ["eval", "--n", "3", "--word", "B"],
+        ["eval", "--n", "3", "--let", "C=s1", "--word", "C"],
+        ["--human", "depth", "--word", "ALPHA"],
+        ["depth", "--word", "ALPHA"],
+        ["coeff", "--word", "ALPHA", "--k", "3", "--human"],
+        ["coeff", "--word", "ALPHA", "--k", "3"],
+        ["eval", "--n", "2", "--word", "s1", "--truncate", "2"],
+        ["eval", "--n", "2", "--word", "s1"],
+        ["check", "--n", "3", "--word", "s1 s2"],
+        ["expand", "--n", "2", "--word", "s1", "--precision", "2"],
+        ["eval", "--word", "s1", "--truncate", "0"],
+        ["search", "--delta", "--budget", "5"],
+        ["eval", "--human", "--n", "2", "--word", "s1^-1"],
+    ]
+
+    def outputs():
+        got = []
+        for argv in session:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            got.append((code, out.getvalue(), err.getvalue()))
+        return got
+
+    reused = outputs()
+    assert reused[1][0] == 2 and "B" in reused[1][2]  # the binding is gone
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert outputs() == reused
 
 
 # ---------------------------------------------------------------------------

@@ -402,6 +402,63 @@ def test_object_trunc_mul_is_exact_on_both_sides_of_the_int64_bound(
             assert got.coefficient(_P - 1)[0, 0] == _P * _N * a_max * b_max
 
 
+class _MatmulDtypes(np.ndarray):
+    """An array view that records the dtype of each matrix product it
+    enters, and computes like a plain array."""
+
+    seen: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _MatmulDtypes.seen.append(inputs[0].dtype)
+        return getattr(ufunc, method)(
+            *(x.view(np.ndarray) if isinstance(x, np.ndarray) else x
+              for x in inputs), **kwargs)
+
+
+# n p = 9 is odd, so with odd entries the sum of all n p products at degree
+# p - 1 is odd: above 2^53 float64 cannot hold it
+_N53, _P53 = 3, 3
+_UNDER53 = (1 << 53) // (3 * _N53 * _P53) - 1
+
+
+@pytest.mark.parametrize("a_max, b_max, dtype, ran_in", [
+    (_UNDER53, 3, object, np.float64),          # just under the bound
+    (_UNDER53 + 2, 3, object, object),          # just over it
+    ((1 << 26) + 1, (1 << 26) + 1, object, object),  # p n products do not fit
+    ((1 << 1100) + 1, 3, object, object),       # beyond float range
+    ((1 << 40) + 1, (1 << 13) + 1, np.int64, object),  # over 2^53, int64 out
+])
+def test_trunc_mul_is_exact_on_both_sides_of_the_float64_bound(
+        a_max, b_max, dtype, ran_in):
+    # the product runs in float64 when max|a| max|b| n p < 2^53; with every
+    # entry at its largest size and one sign, degree p - 1 sums all p n
+    # products, so a bound without the p n factor would round
+    assert (a_max * b_max * _N53 * _P53 < 1 << 53) == (ran_in is np.float64)
+    assert a_max % 2 and b_max % 2
+    rng = random.Random(212)
+    for signed in (False, True):
+        def stack(size):
+            return np.array([[[size * (rng.choice((1, -1)) if signed else 1)
+                               for _ in range(_N53)] for _ in range(_N53)]
+                             for _ in range(_P53)], dtype=object)[:, None]
+
+        a, b = stack(a_max), stack(b_max)
+        _MatmulDtypes.seen = []
+        out = trunc_mul(a.astype(dtype).view(_MatmulDtypes),
+                        b.astype(dtype).view(_MatmulDtypes))
+        assert _MatmulDtypes.seen == [np.dtype(ran_in)]
+        assert out.shape == (_P53, 1, _N53, _N53) and out.dtype == dtype
+        if dtype is object:
+            assert all(type(x) is int for x in out.ravel())
+        got = TruncMatrix(out[:, 0].astype(object))
+        assert got.rows == _grid_product(TruncMatrix(a[:, 0]),
+                                         TruncMatrix(b[:, 0]))
+        if not signed:
+            assert (got.coefficient(_P53 - 1)[0, 0]
+                    == _P53 * _N53 * a_max * b_max)
+
+
 def test_trunc_depths_reads_each_stack_of_a_batch():
     n, p = 3, 4
     ident = TruncMatrix.identity(n, p).stack

@@ -12,8 +12,8 @@ from burau.linalg import IntMatrix, LaurentMatrix, TruncMatrix, perm_matrix
 from burau.rep import (GAMMA_CONDITIONS, DepthTooSmall, GammaElement,
                        burau_eval, burau_eval_trunc, burau_gamma, burau_gen,
                        form_j, gamma_check, gamma_coeff, ones_row, vector_v)
-from burau.words import (Literal, alpha_word, commutator, concat, delta_word,
-                         gen, pure_gen, word_permutation)
+from burau.words import (Inverse, Literal, Power, alpha_word, commutator,
+                         concat, delta_word, gen, pure_gen, word_permutation)
 
 ZERO, ONE = LaurentPoly(0), LaurentPoly(1)
 
@@ -266,6 +266,37 @@ def test_coeff_needs_enough_depth():
         gamma_coeff(gen(5, 1), 1)          # not pure, depth 0
     with pytest.raises(DepthTooSmall):
         gamma_coeff(pure_gen(5, 1, 2), 2)  # depth exactly 1
+
+
+def test_word_coefficient_matches_the_exact_images():
+    # a word is evaluated mod s^(k+1) only; the coefficient read from its
+    # exact image is the oracle, and a word of depth below k still raises
+    rng = random.Random(406)
+    too_shallow = 0
+    for n in range(3, 7):
+        def pure():
+            conj = rand_word(rng, n, rng.randint(1, 3))
+            i = rng.randint(1, n - 1)
+            core = Power(n, pure_gen(n, i, rng.randint(i + 1, n)),
+                         rng.choice((1, -1, 2)))
+            return concat(conj, core, Inverse(n, conj))
+
+        for _ in range(6):
+            w = pure()
+            for _ in range(rng.randint(0, 2)):
+                w = commutator(pure(), w)
+            depth = burau_eval(w).depth()
+            exact = burau_gamma(w)
+            for k in range(1, min(depth, 5) + 2):
+                if k <= depth:
+                    assert gamma_coeff(w, k) == gamma_coeff(exact, k)
+                    continue
+                too_shallow += 1
+                with pytest.raises(DepthTooSmall):
+                    gamma_coeff(w, k)
+                with pytest.raises(DepthTooSmall):
+                    gamma_coeff(exact, k)
+    assert too_shallow
 
 
 def test_coeff_accepts_matrix_and_gamma_element():

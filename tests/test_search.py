@@ -265,6 +265,34 @@ def test_term_count_matches_the_term_table(pool_size, nesting):
             == sum(len(level) for level in table))
 
 
+def _filtered_terms(cfg):
+    """Every pair of smaller terms, kept when its nesting is within the
+    bound: the enumeration that defines the contract order."""
+    def nesting(tree):
+        return 0 if isinstance(tree, int) else 1 + max(map(nesting, tree))
+
+    terms = [[], list(range(len(cfg.pool)))]
+    for s in range(2, 2 ** cfg.max_nesting + 1):
+        level = [(left, right)
+                 for ls in range(1, s)
+                 for left in terms[ls] for right in terms[s - ls]
+                 if left != right
+                 and nesting((left, right)) <= cfg.max_nesting]
+        if not level:
+            break
+        terms.append(level)
+    return terms
+
+
+@pytest.mark.parametrize("pool_size, nesting",
+                         [(1, 0), (1, 3), (2, 0), (2, 1), (2, 2), (2, 3),
+                          (3, 2), (4, 2), (6, 1)])
+def test_term_table_order_is_the_filtered_enumeration(pool_size, nesting):
+    pool = alpha_search_config().pool[:pool_size]
+    cfg = SearchConfig(5, 1, pool, max_nesting=nesting, budget=0)
+    assert search._terms_by_size(cfg) == _filtered_terms(cfg)
+
+
 _TABLE_CONFIGS = {
     "alpha": alpha_search_config(),
     "delta": delta_search_config(),
