@@ -87,9 +87,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self._c
 
-    def is_one(self) -> bool:
-        return self._c == {0: 1}
-
     def coeff(self, exp: int) -> int:
         return self._c.get(exp, 0)
 
@@ -362,13 +359,6 @@ class TruncSeries:
         if isinstance(other, int):
             return self._c[0] == other and not any(self._c[1:])
         return NotImplemented
-
-    def valuation_bound(self) -> int:
-        """Smallest k with nonzero s^k coefficient, or N when zero to precision."""
-        for k, v in enumerate(self._c):
-            if v:
-                return k
-        return self.precision
 
     def __str__(self) -> str:
         terms = ((k, v) for k, v in enumerate(self._c) if v)

@@ -28,8 +28,11 @@ the stack directly.  One batched kernel serves ``TruncMatrix`` and the
 search: :func:`trunc_mul` multiplies each stack of a batch (N, A, n, n) by
 each of another as one block-Toeplitz matrix product over all N degrees, in
 float64 (BLAS) where a bound on the operands shows that every sum is an
-integer below 2^53, and on Python ints otherwise; :func:`trunc_depths`
-reads the depth of each stack of a batch.
+integer below 2^53.  Otherwise it hands the batches to
+:func:`trunc_mul_ints`, which sums the products a_i b_(k-i) of each degree
+k on Python ints and never forms the vanishing ones; the search's recheck
+calls it directly.  :func:`trunc_depths` reads the depth of each stack of
+a batch.
 
 Integer matrices double as s-adic coefficients and as vectors in Z^(n^2)
 (row-major) for the Hermite-normal-form machinery at the bottom of the file.
@@ -530,48 +533,62 @@ def _toeplitz_index(p: int) -> np.ndarray:
     return np.where(k >= i, k - i, p)
 
 
+def trunc_mul_ints(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Every product in Z[s]/(s^p) of a stack of ``a`` (p, A, n, n) by one
+    of ``b`` (p, B, n, n), both object batches of Python ints: (p, A * B,
+    n, n), ``a``'s index major, exact at any size.  Degree k is the sum over
+    i <= k of a_i b_(k-i), each term one batched matrix product, so the
+    products that would vanish beyond s^p are never formed."""
+    p, na, n, _ = a.shape
+    nb = b.shape[1]
+    a, b = a[:, :, None], b[:, None]
+    out = np.empty((p, na, nb, n, n), dtype=object)
+    for k in range(p):
+        out[k] = sum((a[i] @ b[k - i] for i in range(1, k + 1)),
+                     a[0] @ b[k])
+    return out.reshape(p, na * nb, n, n)
+
+
 def trunc_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Every product in Z[s]/(s^p) of a stack of ``a`` (p, A, n, n) by one
     of ``b`` (p, B, n, n), precision first: (p, A * B, n, n), ``a``'s index
     major.  The result has ``b``'s dtype: exact for object stacks of Python
     ints, wrapping for int64, whose callers bound the entries first.
 
-    All p degrees are one matrix product.  The left side is the block row
-    [a_0 ... a_(p-1)], rows (i, r) and columns (degree, inner index).  The
-    right side is block upper Toeplitz: its block (d, k) is b_(k-d) for
-    k >= d and zero below, columns (k, j, c).  Block column k of the
-    product is then the sum over d <= k of a_d b_(k-d), the degree-k
-    coefficient.
+    Under the bound below, all p degrees are one matrix product.  The left
+    side is the block row [a_0 ... a_(p-1)], rows (i, r) and columns
+    (degree, inner index).  The right side is block upper Toeplitz: its
+    block (d, k) is b_(k-d) for k >= d and zero below, columns (k, j, c).
+    Block column k of the product is then the sum over d <= k of
+    a_d b_(k-d), the degree-k coefficient.
 
-    The product runs in float64 (BLAS) when max|a| max|b| n p < 2^53, the
+    That product runs in float64 (BLAS) when max|a| max|b| n p < 2^53, the
     maxima read from the converted operands: every entry of the product,
     and every partial sum of it in any order, is then an integer of size
     below 2^53, a sum of at most p n products, so the result is exact
     whatever the summation order or fused multiply-adds.  An entry above
     2^53 converts to at least 2^53 and fails the bound, and one beyond
-    float range fails the conversion.  Otherwise the same product runs on
-    Python ints (object dtype)."""
+    float range fails the conversion.  Otherwise the product is
+    :func:`trunc_mul_ints`, on Python ints."""
     p, na, n, _ = a.shape
     nb = b.shape[1]
-    dtype = b.dtype
     try:
         fa, fb = a.astype(np.float64), b.astype(np.float64)
         fits = (int(np.abs(fa).max(initial=0))
                 * int(np.abs(fb).max(initial=0)) * n * p < 1 << 53)
     except OverflowError:
         fits = False
-    if fits:
-        a, b = fa, fb
-    else:
-        a, b = a.astype(object, copy=False), b.astype(object, copy=False)
-    lhs = a.transpose(1, 2, 0, 3).reshape(na * n, p * n)
-    padded = np.concatenate([b, np.zeros((1, nb, n, n), dtype=b.dtype)])
+    if not fits:
+        return trunc_mul_ints(a.astype(object, copy=False),
+                              b.astype(object, copy=False)).astype(
+                                  b.dtype, copy=False)
+    lhs = fa.transpose(1, 2, 0, 3).reshape(na * n, p * n)
+    padded = np.concatenate([fb, np.zeros((1, nb, n, n))])
     rhs = padded[_toeplitz_index(p)].transpose(0, 3, 1, 2, 4)
     out = (lhs @ rhs.reshape(p * n, p * nb * n)).reshape(na, n, p, nb, n)
-    out = out.transpose(2, 0, 3, 1, 4)
-    if fits:  # through int64: float64 to object would give Python floats
-        out = out.astype(np.int64, order="C")
-    return out.reshape(p, na * nb, n, n).astype(dtype, copy=False)
+    # through int64: float64 to object would give Python floats
+    out = out.transpose(2, 0, 3, 1, 4).astype(np.int64, order="C")
+    return out.reshape(p, na * nb, n, n).astype(b.dtype, copy=False)
 
 
 def trunc_depths(stacks: np.ndarray) -> np.ndarray:

@@ -24,26 +24,25 @@ as a single float64 matrix product when its operands bound every sum below
 whose term table would exceed `MAX_TABLE_TERMS` is refused, since the
 table is evaluated in full before the budget applies.
 
-Every raw hit is rechecked once, apart from the scan: exactly for words
-within `exact_cap` letters (the scan's depth is below the precision, so
-this implies the truncated check), truncated beyond it.  The exact image
-of a hit is the product of the exact images of its terms, each evaluated
-once per search, and the depth and leading coefficient are read from one
-s-expansion of it.
+Every raw hit is rechecked once, sharing nothing with the scan: its image
+mod s^p is rebuilt from the truncated generator images on Python ints
+(``trunc_mul_ints``), each term word folded once per search.  Truncation
+is a ring homomorphism and the scan's depth is below p, so this residue
+certifies the depth and the leading coefficient exactly.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
 
 from .laurent import json_int
 from .liealg import GradedElement, orbit_key
-from .linalg import LaurentMatrix, TruncMatrix, trunc_depths, trunc_mul
-from .rep import burau_eval, burau_eval_trunc
-from .words import (BraidWord, commutator, concat, letter_bound, parse_word,
-                    word_format)
+from .linalg import TruncMatrix, trunc_depths, trunc_mul, trunc_mul_ints
+from .rep import burau_eval_trunc, burau_gen
+from .words import BraidWord, commutator, concat, fold, parse_word, word_format
 
 #: the most commutator terms a config may have.  The whole term table is
 #: built and evaluated before the budget applies, at about 0.33 ms a term at
@@ -78,12 +77,12 @@ def _term_count(pool_size: int, max_nesting: int, cap: int) -> int:
 
 class SearchConfig:
     __slots__ = ("n", "target_depth", "pool", "max_nesting", "max_terms",
-                 "precision", "result_cap", "budget", "exact_cap")
+                 "precision", "result_cap", "budget")
 
     def __init__(self, n: int, target_depth: int, pool: Sequence[BraidWord],
                  max_nesting: int = 1, max_terms: int = 1,
                  precision: int | None = None, result_cap: int = 100,
-                 budget: int | None = None, exact_cap: int = 4096):
+                 budget: int | None = None):
         self.n = n
         self.target_depth = target_depth
         self.pool = tuple(pool)
@@ -92,7 +91,6 @@ class SearchConfig:
         self.precision = precision if precision is not None else target_depth + 1
         self.result_cap = result_cap
         self.budget = budget
-        self.exact_cap = exact_cap
         if not self.pool:
             raise ValueError("empty generator pool")
         if any(w.n != n for w in self.pool):
@@ -100,9 +98,9 @@ class SearchConfig:
         if self.precision <= target_depth:
             raise ValueError("precision must exceed target_depth")
         if (target_depth < 1 or max_terms < 1 or result_cap < 1
-                or min(max_nesting, exact_cap, budget or 0) < 0):
-            raise ValueError("bounds must be positive (maxNesting, budget "
-                             "and exactCap non-negative)")
+                or min(max_nesting, budget or 0) < 0):
+            raise ValueError("bounds must be positive (maxNesting and budget "
+                             "non-negative)")
         terms = _term_count(len(self.pool), max_nesting, MAX_TABLE_TERMS)
         if terms > MAX_TABLE_TERMS:
             raise ValueError(
@@ -115,17 +113,21 @@ class SearchConfig:
                 "pool": [word_format(w) for w in self.pool],
                 "maxNesting": self.max_nesting, "maxTerms": self.max_terms,
                 "precision": self.precision, "resultCap": self.result_cap,
-                "budget": self.budget, "exactCap": self.exact_cap}
+                "budget": self.budget}
 
     @staticmethod
     def from_json(data: dict, bindings=None) -> "SearchConfig":
-        """Read a config; every number is a JSON integer, and an optional
-        field that is absent or null takes its default."""
+        """Read a config; every number is a JSON integer, the pool is a
+        list of word strings, and an optional field that is absent or null
+        takes its default.  Unknown fields are ignored."""
         def optional(key: str, default: int | None) -> int | None:
             value = data.get(key)
             return default if value is None else json_int(value, name=key)
 
         n = json_int(data["n"], name="n")
+        if not (isinstance(data["pool"], list)
+                and all(isinstance(w, str) for w in data["pool"])):
+            raise TypeError("pool: expected a list of words")
         pool = [parse_word(w, n, bindings) for w in data["pool"]]
         return SearchConfig(
             n, json_int(data["targetDepth"], name="targetDepth"), pool,
@@ -133,8 +135,7 @@ class SearchConfig:
             max_terms=optional("maxTerms", 1),
             precision=optional("precision", None),
             result_cap=optional("resultCap", 100),
-            budget=optional("budget", None),
-            exact_cap=optional("exactCap", 4096))
+            budget=optional("budget", None))
 
 
 class SearchHit:
@@ -319,40 +320,31 @@ def search_deep(cfg: SearchConfig) -> SearchOutcome:
         if not emit(total, cfg.max_terms, (), ident):
             break
 
-    # post-processing.  The exact image of each term word is computed once
-    # (keyed by identity: raw hits share the term word objects), and so is
-    # each product of a hit's leading terms while the next hits, which come
-    # in contract order, share them; the orbit key is computed once per
-    # leading coefficient.
-    images: dict[int, LaurentMatrix] = {}
+    # the recheck.  Each generator image is built once, on first use; one
+    # fold memo serves every term word (raw hits share them, and
+    # ``term_words`` keeps them alive), so each is folded once; the orbit
+    # key is computed once per leading coefficient.
+    @functools.cache
+    def gen_image(i: int, sign: int) -> np.ndarray:
+        return burau_gen(n, i, sign).truncate(precision).stack[:, None]
+
+    one = TruncMatrix.identity(n, precision).stack[:, None]
+
+    def product(values: list[np.ndarray]) -> np.ndarray:
+        return functools.reduce(trunc_mul_ints, values)
+
+    def leaf(letters) -> np.ndarray:
+        return product([gen_image(*x) for x in letters]) if letters else one
+
+    folded: dict = {}
     keys: dict[tuple, tuple[int, ...]] = {}
-    # the last hit's terms, each with the image of the product up to it
-    chain: list[tuple[BraidWord, LaurentMatrix]] = []
-
-    def exact_image(seq: tuple[BraidWord, ...]) -> LaurentMatrix:
-        keep = 0
-        while keep < min(len(seq), len(chain)) and chain[keep][0] is seq[keep]:
-            keep += 1
-        del chain[keep:]
-        for w in seq[keep:]:
-            if id(w) not in images:
-                images[id(w)] = burau_eval(w)
-            chain.append((w, chain[-1][1] * images[id(w)] if chain
-                          else images[id(w)]))
-        return chain[-1][1]
-
     hits: list[SearchHit] = []
     seen: set[tuple[int, ...]] = set()
     for index, seq, depth in raw_hits:
-        word = concat(*seq)
-        if letter_bound(word) <= cfg.exact_cap:
-            m = exact_image(seq).truncate(depth + 1)
-            if m.depth_bound() != depth:
-                raise AssertionError("exact depth disagrees with the scan")
-        else:
-            m = burau_eval_trunc(word, precision)
-            if m.depth_bound() != depth:
-                raise AssertionError("batched evaluation disagrees with recheck")
+        m = TruncMatrix(product([fold(w, leaf, one, product, folded)
+                                 for w in seq])[:, 0])
+        if m.depth_bound() != depth:
+            raise AssertionError("recheck disagrees with the scan")
         leading = GradedElement(depth, m.coefficient(depth))
         memo = (depth, leading.matrix.rows)
         if memo not in keys:
@@ -361,7 +353,7 @@ def search_deep(cfg: SearchConfig) -> SearchOutcome:
         if key in seen:
             continue
         seen.add(key)
-        hits.append(SearchHit(word, depth, leading, index))
+        hits.append(SearchHit(concat(*seq), depth, leading, index))
         if len(hits) >= cfg.result_cap:
             break
     return SearchOutcome(hits, counter, exhausted)

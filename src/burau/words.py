@@ -96,9 +96,6 @@ class Perm:
             out[img - 1] = i
         return Perm(out)
 
-    def is_identity(self) -> bool:
-        return self.images == tuple(range(1, self.n + 1))
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Perm) and self.images == other.images
 

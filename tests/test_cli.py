@@ -13,13 +13,17 @@ import sys
 import time
 import tracemalloc
 
+import numpy as np
+import pytest
+
 import burau
 from burau import cli
 from burau.cli import main
 from burau.density import MAX_DEGREE, MAX_N, MIN_N, default_library
 from burau.liealg import g_bracket, gen_x, gen_y
 from burau.laurent import LaurentPoly
-from burau.linalg import LaurentMatrix, SquareMatrix, perm_matrix
+from burau.linalg import (LaurentMatrix, SquareMatrix, TruncMatrix,
+                          perm_matrix)
 from burau.rep import burau_eval, burau_eval_trunc, form_j
 from burau.words import alpha_word, gen, parse_word
 
@@ -591,6 +595,16 @@ def test_search_config_without_pool_is_a_usage_error(tmp_path):
                        str(path), "pool")
 
 
+@pytest.mark.parametrize("pool", [{"A12": 1}, "A12 A13", [5]],
+                         ids=["object", "string", "number"])
+def test_search_config_pool_that_is_not_a_list_of_words_is_a_usage_error(
+        tmp_path, pool):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 5, "targetDepth": 2, "pool": pool}))
+    assert_usage_error(*run(["search", "--config", str(path)]),
+                       str(path), "pool: expected a list of words")
+
+
 def test_library_without_degrees_is_a_usage_error(tmp_path):
     path = tmp_path / "lib.json"
     path.write_text(json.dumps({"n": 5}))
@@ -699,12 +713,18 @@ def test_depth_of_a_matrix_with_a_far_exponent(tmp_path):
 
 def test_internal_invariant_failure_exits_3(monkeypatch):
     import burau.search
-    monkeypatch.setattr(burau.search, "burau_eval",
-                        lambda w: LaurentMatrix.identity(w.n))
+
+    def identities(a, b):
+        # a recheck product that answers the identity for every pair
+        p, na, n, _ = a.shape
+        ident = TruncMatrix.identity(n, p).stack[:, None]
+        return np.repeat(ident, na * b.shape[1], axis=1)
+
+    monkeypatch.setattr(burau.search, "trunc_mul_ints", identities)
     code, _, err = run(["search", "--delta", "--budget", "30"])
     assert code == 3
     assert error_kind(err) == "AssertionError"
-    assert "exact depth disagrees" in json.loads(err)["error"]
+    assert "recheck disagrees with the scan" in json.loads(err)["error"]
 
 
 def test_closed_stdout_exits_without_traceback():

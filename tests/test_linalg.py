@@ -13,7 +13,7 @@ from burau.laurent import S, LaurentPoly, T, T_INV, TruncSeries
 from burau.linalg import (IntLattice, IntMatrix, LaurentMatrix,
                           NonUnitDeterminant, RatMatrix, TruncMatrix,
                           _kronecker_product, matrix_lattice, perm_matrix,
-                          row_hnf, trunc_depths, trunc_mul)
+                          row_hnf, trunc_depths, trunc_mul, trunc_mul_ints)
 from burau.liealg import g_basis, gen_x, gen_y
 from burau.rep import burau_eval, burau_eval_trunc, burau_gen, form_j
 from burau.words import (Perm, Power, alpha_word, commutator, concat, gen,
@@ -447,7 +447,12 @@ def test_trunc_mul_is_exact_on_both_sides_of_the_float64_bound(
         _MatmulDtypes.seen = []
         out = trunc_mul(a.astype(dtype).view(_MatmulDtypes),
                         b.astype(dtype).view(_MatmulDtypes))
-        assert _MatmulDtypes.seen == [np.dtype(ran_in)]
+        # one float64 product for all degrees, or object products only
+        if ran_in is np.float64:
+            assert _MatmulDtypes.seen == [np.dtype(np.float64)]
+        else:
+            assert _MatmulDtypes.seen
+            assert set(_MatmulDtypes.seen) == {np.dtype(object)}
         assert out.shape == (_P53, 1, _N53, _N53) and out.dtype == dtype
         if dtype is object:
             assert all(type(x) is int for x in out.ravel())
@@ -457,6 +462,32 @@ def test_trunc_mul_is_exact_on_both_sides_of_the_float64_bound(
         if not signed:
             assert (got.coefficient(_P53 - 1)[0, 0]
                     == _P53 * _N53 * a_max * b_max)
+
+
+@pytest.mark.parametrize("p", [1, 2, 7])
+@pytest.mark.parametrize("na, nb", [(1, 1), (3, 4), (0, 5), (2, 0)])
+def test_trunc_mul_ints_is_every_pair_product_on_python_ints(p, na, nb):
+    rng = random.Random(213)
+    n = 3
+
+    def batch(size):
+        """(p, size, n, n) object stacks with entries above 2^1100."""
+        out = np.empty((p, size, n, n), dtype=object)
+        for idx in np.ndindex(out.shape):
+            out[idx] = rng.choice((1, -1)) * rng.getrandbits(1110)
+        return out
+
+    a, b = batch(na), batch(nb)
+    out = trunc_mul_ints(a, b)
+    assert out.shape == (p, na * nb, n, n) and out.dtype == object
+    assert all(type(x) is int for x in out.ravel())
+    for i in range(na):
+        for j in range(nb):
+            got = TruncMatrix(out[:, i * nb + j])
+            assert got.rows == _grid_product(TruncMatrix(a[:, i]),
+                                             TruncMatrix(b[:, j]))
+    if na * nb:
+        assert max(abs(x) for x in out.ravel()) > 1 << 2200
 
 
 def test_trunc_depths_reads_each_stack_of_a_batch():

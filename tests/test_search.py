@@ -10,9 +10,9 @@ import itertools
 import numpy as np
 import pytest
 
-from burau import search
+from burau import rep, search
 from burau.liealg import GradedElement, gen_x, gen_y, orbit_key
-from burau.linalg import LaurentMatrix, TruncMatrix
+from burau.linalg import TruncMatrix
 from burau.rep import burau_eval_trunc
 from burau.search import (MAX_TABLE_TERMS, SearchConfig, alpha_search_config,
                           delta_search_config, search_deep)
@@ -135,15 +135,6 @@ def test_search_is_deterministic():
     assert [h.index for h in base.hits] == [21, 22]
 
 
-def test_exact_cap_zero_skips_nothing_visible():
-    # with the cap at zero no hit gets the exact Laurent recheck; the
-    # reported outcome must not change
-    cfg = SearchConfig(5, 3, [pure_gen(5, 1, 3), pure_gen(5, 2, 4)],
-                       max_nesting=1, max_terms=1, precision=4, exact_cap=0)
-    out = search_deep(cfg)
-    assert [h.index for h in out.hits] == [2]
-
-
 def test_hits_within_exact_cap_get_no_truncated_recheck(monkeypatch):
     cfg = delta_search_config(budget=30)
     terms = sum(len(level) for level in search._terms_by_size(cfg))
@@ -154,26 +145,21 @@ def test_hits_within_exact_cap_get_no_truncated_recheck(monkeypatch):
                         or real(w, p, memo))
     out = search_deep(cfg)
     assert [h.index for h in out.hits] == [21, 22]
-    # one evaluation per term table entry, none per hit
+    # one evaluation per term table entry, none per hit: the recheck builds
+    # its images from the generators, not through the scan's evaluator
     assert len(words) == terms
 
 
-def test_truncated_recheck_beyond_exact_cap_still_guards(monkeypatch):
-    cfg = SearchConfig(5, 3, [pure_gen(5, 1, 3), pure_gen(5, 2, 4)],
-                       max_nesting=1, max_terms=1, precision=4, exact_cap=0)
-    terms = sum(len(level) for level in search._terms_by_size(cfg))
-    real = search.burau_eval_trunc
-    calls = []
-
-    def lying(w, p, memo=None):
-        # the term tables are honest; every recheck after them is not
-        calls.append(w)
-        return (real(w, p, memo) if len(calls) <= terms
-                else TruncMatrix.identity(w.n, p))
-
-    monkeypatch.setattr(search, "burau_eval_trunc", lying)
-    with pytest.raises(AssertionError, match="disagrees with recheck"):
-        search_deep(cfg)
+def test_config_with_a_stale_exact_cap_gives_the_same_hits():
+    # exactCap once chose between two recheck routes; a config file that
+    # still carries it loads, and the field selects nothing
+    base = delta_search_config(budget=60).to_json()
+    want = search_deep(SearchConfig.from_json(base)).to_json()
+    for cap in (0, 4096):
+        cfg = SearchConfig.from_json({**base, "exactCap": cap})
+        assert "exactCap" not in cfg.to_json()
+        assert search_deep(cfg).to_json() == want
+    assert [h["index"] for h in want["hits"]] == [21, 22, 47, 52]
 
 
 def test_result_cap_truncates_hits():
@@ -204,7 +190,6 @@ def test_config_json_round_trip():
     assert again.max_terms == cfg.max_terms
     assert again.precision == cfg.precision
     assert again.budget == 12345
-    assert again.exact_cap == cfg.exact_cap
     assert [flatten(w) for w in again.pool] == [flatten(w) for w in cfg.pool]
 
 
@@ -234,7 +219,7 @@ def test_config_validation():
 def test_config_bounds():
     pool = [pure_gen(5, 1, 2), pure_gen(5, 1, 3), pure_gen(5, 2, 3)]
     # result_cap 0 used to report one hit, and negative counts were accepted
-    for bad in ({"result_cap": 0}, {"budget": -1}, {"exact_cap": -1}):
+    for bad in ({"result_cap": 0}, {"budget": -1}):
         with pytest.raises(ValueError):
             SearchConfig(5, 2, pool, max_nesting=1, **bad)
     out = search_deep(SearchConfig(5, 2, pool, max_nesting=1, budget=0))
@@ -433,16 +418,27 @@ def test_oracle_budgets_end_inside_a_two_slot_block(name):
 # work sharing in the hit post-processing, and the order across blocks
 
 
-def test_each_term_word_is_evaluated_exactly_once(monkeypatch):
-    words = []
-    real = search.burau_eval
-    monkeypatch.setattr(search, "burau_eval",
-                        lambda w: words.append(w) or real(w))
+def test_each_term_is_folded_once_per_search(monkeypatch):
+    # every recheck fold shares one memo, so a term word met again in a
+    # later hit adds nothing to it
+    calls = []
+    real = search.fold
+
+    def recording(w, leaf, one, product, memo):
+        before = len(memo)
+        out = real(w, leaf, one, product, memo)
+        calls.append((id(w), id(memo), len(memo) > before))
+        return out
+
+    monkeypatch.setattr(search, "fold", recording)
     out = search_deep(alpha_search_config(budget=20_000))
     assert [h.index for h in out.hits] == [50, 4142, 4676]
     terms = sum(len(level)
                 for level in search._terms_by_size(alpha_search_config()))
-    assert 0 < len(words) == len({id(w) for w in words}) <= terms == 36
+    folded = [w for w, _, grew in calls if grew]
+    assert len({memo for _, memo, _ in calls}) == 1
+    assert len(calls) > len(folded)
+    assert 0 < len(folded) == len(set(folded)) <= terms == 36
 
 
 def test_orbit_key_runs_once_per_leading_coefficient(monkeypatch):
@@ -455,21 +451,63 @@ def test_orbit_key_runs_once_per_leading_coefficient(monkeypatch):
     assert len(keyed) == len(set(keyed)) >= len(out.hits) == 3
 
 
-def test_lying_laurent_product_is_caught(monkeypatch):
-    # the pool words are literals, whose exact images take no matrix
-    # product; a raw hit of two or more terms is rechecked through the
-    # product of their images, so a product that lies must trip the check
+# ---------------------------------------------------------------------------
+# the recheck shares nothing with the scan: a lie on either side is caught
+
+
+def _lying_stack(stack):
+    """A stack of depth 3 in place of ``stack``: degrees 1-2 zeroed and one
+    entry added in degree 3."""
+    stack = stack.copy()
+    stack[1:3] = 0
+    stack[3, 0, 1] += 1
+    return stack
+
+
+@pytest.mark.parametrize("word", [pure_gen(5, 1, 2),
+                                  Power(5, pure_gen(5, 1, 2), 10 ** 7)],
+                         ids=["A12", "A12^(10^7)"])
+def test_lying_scan_leaf_is_caught(word, monkeypatch):
+    # the scan's leaves come from rep._literal_stack; the recheck builds its
+    # own from the generator images, and a power of any exponent by
+    # square-and-multiply, so the true depth 1 shows
+    real = rep._literal_stack
+    monkeypatch.setattr(rep, "_literal_stack",
+                        lambda n, letters, p: _lying_stack(real(n, letters, p)))
+    cfg = SearchConfig(5, 3, [word], max_nesting=1, max_terms=1, precision=4)
+    with pytest.raises(AssertionError,
+                       match="recheck disagrees with the scan"):
+        search_deep(cfg)
+
+
+def test_lying_scan_product_is_caught(monkeypatch):
+    real = search.trunc_mul
+    monkeypatch.setattr(search, "trunc_mul",
+                        lambda a, b: _lying_stack(real(a, b)))
+    cfg = SearchConfig(5, 3, [pure_gen(5, 1, 2), pure_gen(5, 2, 3)],
+                       max_nesting=0, max_terms=2, precision=4)
+    with pytest.raises(AssertionError,
+                       match="recheck disagrees with the scan"):
+        search_deep(cfg)
+
+
+def test_lying_recheck_product_is_caught(monkeypatch):
+    # the pool words are literals of several letters, so every recheck
+    # image goes through trunc_mul_ints; one that answers the identity
+    # must trip the check
     products = []
 
     def lying(a, b):
         products.append((a, b))
-        return LaurentMatrix.identity(a.n)
+        p, _, n, _ = a.shape
+        ident = TruncMatrix.identity(n, p).stack[:, None]
+        return np.repeat(ident, a.shape[1] * b.shape[1], axis=1)
 
-    monkeypatch.setattr(LaurentMatrix, "__mul__", lying)
+    monkeypatch.setattr(search, "trunc_mul_ints", lying)
     cfg = SearchConfig(5, 1, [pure_gen(5, 1, 2), pure_gen(5, 2, 3)],
                        max_nesting=0, max_terms=2, precision=3)
     with pytest.raises(AssertionError,
-                       match="exact depth disagrees with the scan"):
+                       match="recheck disagrees with the scan"):
         search_deep(cfg)
     assert products
 

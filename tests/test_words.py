@@ -268,7 +268,7 @@ def test_pure_gen_index_validation():
 
 def test_word_permutation_cases():
     assert word_permutation(gen(3, 1)) == Perm((2, 1, 3))
-    assert word_permutation(pure_gen(4, 2, 4)).is_identity()
+    assert word_permutation(pure_gen(4, 2, 4)) == Perm.identity(4)
     # composition is left to right: first sigma1, then sigma2
     assert word_permutation(concat(gen(3, 1), gen(3, 2))).images == (3, 1, 2)
 
