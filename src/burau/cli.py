@@ -167,6 +167,12 @@ def cmd_check(args) -> int:
     return 0 if report else 1
 
 
+#: the precision at which ``depth`` of a word is read before any exact
+#: evaluation; only a word that is the identity to this precision is folded
+#: exactly
+_DEPTH_PROBE = 8
+
+
 def cmd_depth(args) -> int:
     if args.truncate is not None:
         if args.word is None:
@@ -179,7 +185,15 @@ def cmd_depth(args) -> int:
                    "note": f"at least; certified through s^{args.truncate - 1}"
                    if d == args.truncate else "exact"}
     else:
-        d = _input_matrix(args).depth()
+        if args.matrix is None and args.word is not None:
+            # truncation is a ring homomorphism, so a depth below the
+            # probe's precision is exact, whatever the word's exponents
+            w = _parse(args.word, args.n, args.let)
+            d = burau_eval_trunc(w, _DEPTH_PROBE).depth_bound()
+            if d == _DEPTH_PROBE:
+                d = burau_eval(w).depth()
+        else:
+            d = _input_matrix(args).depth()
         payload = {"command": "depth",
                    "depth": "infinity" if d == math.inf else d}
     _emit(args, payload, f"depth {payload['depth']}")

@@ -20,6 +20,14 @@ product coefficient, so no digit can carry.  Operands whose rows or columns
 hold terms far apart in degree (say t^0 and t^(10^9)), where the packed ints
 would be mostly zero digits, take the entrywise product instead.
 
+The exact word fold (``rep.burau_eval``) runs on dense pairs (low, stack)
+instead, the int64 stack of a matrix's coefficient matrices of t^low,
+t^(low + 1), ...: :func:`stack_mul` multiplies two of them in float64
+(BLAS) where a bound on the operands shows that every sum is an integer
+below 2^53 and the shorter span is small.  Big operands are converted to
+``LaurentMatrix`` once and take the Kronecker product, and the fold stays
+there.
+
 A truncated matrix is the (N, n, n) numpy stack of its s^k coefficient
 matrices, with Python-int entries.  It is reached from an exact matrix by
 ``LaurentMatrix.truncate``, which reads each entry's s-coefficients straight
@@ -123,7 +131,7 @@ class SquareMatrix:
         self._check(other)
         zero = self._zero
         cols = list(zip(*other.rows))
-        return type(self)([[sum((a * b for a, b in zip(row, col)), zero)
+        return type(self)([[sum(map(operator.mul, row, col), zero)
                             for col in cols] for row in self.rows])
 
     def __eq__(self, other: object) -> bool:
@@ -514,11 +522,88 @@ class LaurentMatrix(SquareMatrix):
             raise ValueError("declared dimension does not match entries")
         return m
 
+    @staticmethod
+    def from_stack(low: int, stack: np.ndarray) -> "LaurentMatrix":
+        """The matrix whose t^(low + d) coefficient matrix is ``stack[d]``,
+        for a (span, n, n) integer stack."""
+        exps = range(low, low + len(stack))
+        return LaurentMatrix([[LaurentPoly(dict(zip(exps, e))) for e in row]
+                              for row in stack.transpose(1, 2, 0).tolist()])
+
     def __str__(self) -> str:
         return _bracketed([[str(e) for e in row] for row in self.rows])
 
     def __repr__(self) -> str:
         return f"LaurentMatrix(n={self.n})"
+
+
+# ---------------------------------------------------------------------------
+# dense Laurent stacks: the exact word fold's values
+
+#: the float64 product takes min(span) matrix products, so its time grows
+#: with min(span) * max(span), against Kronecker's big-int Karatsuba; above
+#: this least span it hands off.  Measured on a 2-CPU Xeon with numpy's
+#: OpenBLAS: the float64 route won every dense random product at n = 3..8
+#: up to spans 2048, but lost on sparse Burau powers with a higher crossover
+#: (A13^2000 at n = 5: 0.076 s at 1024 against 0.052 s), and from 128 up the
+#: peak memory of long powers rose above the Kronecker fold's
+#: ((s1 s2 s3 s4)^500 at n = 5: 0.66 MB against 0.50 MB)
+_FLOAT_SPAN = 64
+
+
+def trim_stack(low: int, stack: np.ndarray) -> tuple[int, np.ndarray]:
+    """``(low, stack)`` without its zero end degrees; (0, empty) for zero."""
+    nonzero = np.flatnonzero(stack.any(axis=(1, 2)))
+    if not len(nonzero):
+        return 0, stack[:0]
+    first, last = nonzero[0], nonzero[-1]
+    return low + int(first), stack[first:last + 1]
+
+
+def stack_mul(x, y):
+    """The product of two exact matrices over Z[t^±1], each a
+    :class:`LaurentMatrix` or a dense pair ``(low, stack)``, the int64
+    (span, n, n) stack of the coefficient matrices of t^low, t^(low + 1), ...
+
+    Two dense operands of spans s_a and s_b whose entries satisfy
+    n * min(s_a, s_b) * max|a| * max|b| < 2^53, with min(s_a, s_b) at most
+    ``_FLOAT_SPAN``, multiply in float64 (BLAS), exact as in
+    :func:`trunc_mul`: each output coefficient is a sum of at most
+    n * min(s_a, s_b) products of integers, so every partial sum, in any
+    order, is an integer below 2^53.  The shorter operand a is the left one,
+    transposing both sides and the result if need be; each of its degrees
+    a_i multiplies all of b at once, as one (n, n) by (n, span_b n) matrix
+    product, added into the result at degrees i onwards.  That needs no
+    more memory than the result.  The result is dense, its zero end degrees
+    trimmed.  Any other pair is converted to :class:`LaurentMatrix` and
+    multiplied there (Kronecker substitution), so the result is a
+    ``LaurentMatrix``, as is any product with one.
+    """
+    if isinstance(x, tuple) and isinstance(y, tuple):
+        (low_a, a), (low_b, b) = x, y
+        if not (len(a) and len(b)):
+            return 0, a[:0]
+        n = a.shape[1]
+        flip = len(b) < len(a)
+        if flip:
+            a, b = b.transpose(0, 2, 1), a.transpose(0, 2, 1)
+        s, t = len(a), len(b)
+        if (s <= _FLOAT_SPAN and n * s * int(np.abs(a).max())
+                * int(np.abs(b).max()) < 1 << 53):
+            fa = a.astype(np.float64)
+            fb = b.transpose(1, 0, 2).reshape(n, t * n).astype(np.float64)
+            out = np.zeros((n, s + t - 1, n))
+            for i, ai in enumerate(fa):
+                out[:, i:i + t] += (ai @ fb).reshape(n, t, n)
+            out = out.astype(np.int64)
+            out = out.transpose(1, 2, 0) if flip else out.transpose(1, 0, 2)
+            return trim_stack(low_a + low_b, out)
+    return to_laurent(x) * to_laurent(y)
+
+
+def to_laurent(x) -> LaurentMatrix:
+    """A value of :func:`stack_mul`, dense or not, as a ``LaurentMatrix``."""
+    return x if isinstance(x, LaurentMatrix) else LaurentMatrix.from_stack(*x)
 
 
 # ---------------------------------------------------------------------------

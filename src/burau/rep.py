@@ -12,17 +12,25 @@ Writing A in Gamma as a power series in s gives integer coefficient
 matrices (A)_k; the depth of A is the smallest k >= 1 with (A)_k nonzero.
 gamma_coeff extracts the leading coefficient as a GradedElement.
 
-Words are evaluated by one fold whose literal runs are column operations:
-over Z[t^±1] for the exact image, and on the coefficient stack in
-s-coordinates for the image mod s^N, which makes no Laurent object.
+Words are evaluated by one fold whose literal runs are column operations
+on coefficient stacks: int64 stacks in t-coordinates for the exact image,
+multiplied by ``linalg.stack_mul`` in float64 under a proven exactness
+bound, with big operands handed off to the Kronecker product of
+``LaurentMatrix``; and object stacks in s-coordinates for the image mod
+s^N.  Neither makes a Laurent object until the exact fold hands off or
+ends.  ``_literal``, the same column operations on Laurent entries, stays
+as the oracle of both and as the exact leaf past int64.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .laurent import LaurentPoly, ONE, ZERO, T, T_INV
-from .linalg import LaurentMatrix, TruncMatrix
+from .linalg import (LaurentMatrix, TruncMatrix, stack_mul, to_laurent,
+                     trim_stack)
 from .liealg import GradedElement
 from .words import BraidWord, Perm, fold
 
@@ -96,13 +104,59 @@ def _literal(n: int, letters) -> LaurentMatrix:
     return LaurentMatrix(list(zip(*cols)))
 
 
+#: int64 entries stay below this; a letter at most triples the largest one
+_INT64_ROOM = (1 << 63) // 3
+
+
+def _literal_dense(n: int, letters):
+    """A literal run's exact image as a dense pair (low, int64 stack) of
+    ``linalg.stack_mul``: the column operations of ``_literal`` on the
+    (span, n) coefficient arrays of the columns, t^low first.
+
+    sigma_i takes columns (a, b) at (i, i+1) to (a + t(b - a), a) and
+    sigma_i^-1 to (b, b + t^-1(a - b)); multiplying by t^+-1 is a shift by
+    one degree.  The degrees lie between minus the run's negative letters
+    and its positive ones, a range allocated once, and a shift never
+    leaves it.  A run whose entries could leave int64 is the
+    ``LaurentMatrix`` of ``_literal``.
+    """
+    neg = sum(s < 0 for _, s in letters)
+    cols = [np.zeros((len(letters) + 1, n), dtype=np.int64) for _ in range(n)]
+    for c in range(n):
+        cols[c][neg, c] = 1
+    top = 1
+    for i, s in letters:
+        if top > _INT64_ROOM:
+            top = max(int(np.abs(c).max()) for c in cols)
+            if top > _INT64_ROOM:
+                return _literal(n, letters)
+        top *= 3
+        a, b = cols[i - 1], cols[i]
+        if s > 0:
+            new = a.copy()
+            new[1:] += (b - a)[:-1]
+            cols[i - 1], cols[i] = new, a
+        else:
+            new = b.copy()
+            new[:-1] += (a - b)[1:]
+            cols[i - 1], cols[i] = b, new
+    return trim_stack(-neg, np.stack(cols, axis=2))
+
+
 def burau_eval(w: BraidWord) -> LaurentMatrix:
     """Exact image of a word, memoized over shared DAG nodes.
 
-    The word fold's inverse flag means no matrix is inverted.
+    The word fold's inverse flag means no matrix is inverted.  Its values
+    are dense int64 stacks, leaves from ``_literal_dense``, multiplied by
+    ``linalg.stack_mul``: in float64 under its exactness bound, and
+    otherwise by the Kronecker product of ``LaurentMatrix``, where every
+    later product with that value stays.
     """
-    return fold(w, lambda letters: _literal(w.n, letters),
-                LaurentMatrix.identity(w.n))
+    n = w.n
+    return to_laurent(fold(
+        w, lambda letters: _literal_dense(n, letters),
+        (0, np.eye(n, dtype=np.int64)[None]),
+        product=lambda values: functools.reduce(stack_mul, values)))
 
 
 def _literal_stack(n: int, letters, precision: int) -> np.ndarray:

@@ -144,6 +144,35 @@ def test_depth_infinity():
     assert lines[0]["depth"] == "infinity"
 
 
+@pytest.mark.parametrize("word, depth", [
+    ("s1^99999999", 0), ("A12^99999999", 1), ("[s1,s1]", "infinity")])
+def test_depth_of_a_huge_power_is_read_from_a_truncation(word, depth):
+    t0 = time.perf_counter()
+    code, lines, _ = run(["depth", "--n", "3", "--word", word])
+    assert time.perf_counter() - t0 < 1
+    assert code == 0
+    assert lines == [{"command": "depth", "depth": depth}]
+
+
+def test_depth_of_a_word_matches_the_exact_depth():
+    # depths up to 7 come from the truncation, 10 from the exact fold
+    words = ["s1 s2^-1", "A12 A13^-1", "ALPHA", "DELTA",
+             "[[A12,A13],[A12,A23]]", "[[[A12,A13],A12],[[A13,A23],A13]]",
+             "[[[[A12,A13],A23],A12],[[A13,A23],A13]]",
+             "[[[A12,A13],[A12,A23]],[[A13,A23],[A12,A13]]]"]
+    depths = []
+    for text in words:
+        n = 5 if text in ("ALPHA", "DELTA") else 3
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["depth", "--n", str(n), "--word", text]) == 0
+        depths.append(burau_eval(cli._parse(text, n, None)).depth())
+        assert out.getvalue() == json.dumps(
+            {"command": "depth", "depth": depths[-1]},
+            separators=(",", ":")) + "\n"
+    assert depths == [0, 1, 3, 5, 5, 6, 7, 10]
+
+
 def test_depth_truncated_saturation():
     code, lines, _ = run(["depth", "--word", "DELTA", "--truncate", "4"])
     assert code == 0

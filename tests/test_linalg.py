@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from burau.laurent import S, LaurentPoly, T, T_INV, TruncSeries
-from burau.linalg import (IntLattice, IntMatrix, LaurentMatrix,
-                          NonUnitDeterminant, RatMatrix, TruncMatrix,
-                          _kronecker_product, matrix_lattice, perm_matrix,
-                          row_hnf, trunc_depths, trunc_mul, trunc_mul_ints)
+from burau.linalg import (_FLOAT_SPAN, IntLattice, IntMatrix, LaurentMatrix,
+                          NonUnitDeterminant, RatMatrix, SquareMatrix,
+                          TruncMatrix, _kronecker_product, matrix_lattice,
+                          perm_matrix, row_hnf, stack_mul, trunc_depths,
+                          trunc_mul, trunc_mul_ints)
 from burau.liealg import g_basis, gen_x, gen_y
 from burau.rep import burau_eval, burau_eval_trunc, burau_gen, form_j
 from burau.words import (Perm, Power, alpha_word, commutator, concat, gen,
@@ -600,6 +601,111 @@ def test_sparse_operands_take_the_entrywise_product():
     assert square[0, 1] == far * 2
     assert seconds < 0.5
     assert peak < 1 << 20
+
+
+# ---------------------------------------------------------------------------
+# dense Laurent stacks
+
+
+def _stack_route(x, y):
+    """The route stack_mul must take for two dense operands."""
+    (_, a), (_, b) = x, y
+    n, short = a.shape[1], min(len(a), len(b))
+    if short > _FLOAT_SPAN:
+        return "span"
+    top = int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0))
+    return "float" if n * short * top < 1 << 53 else "bound"
+
+
+def _check_stack_mul(x, y):
+    """stack_mul(x, y) against the entrywise product; returns its route."""
+    got = stack_mul(x, y)
+    want = SquareMatrix._product(LaurentMatrix.from_stack(*x),
+                                 LaurentMatrix.from_stack(*y))
+    route = _stack_route(x, y)
+    if route == "float":
+        assert type(got) is tuple
+        low, stack = got
+        assert stack.dtype == np.int64 and stack.shape[1:] == x[1].shape[1:]
+        if len(stack):
+            assert stack[0].any() and stack[-1].any()
+        else:
+            assert low == 0
+        got = LaurentMatrix.from_stack(low, stack)
+    else:
+        assert type(got) is LaurentMatrix
+    assert got == want
+    return route
+
+
+def test_stack_mul_matches_the_entrywise_product():
+    """Seeded dense operands at n = 1..8 and spans 1..200, on both sides of
+    the 2^53 bound and of the span crossover; the spans are kept small
+    enough at large n for the entrywise oracle."""
+    rng = random.Random(231)
+    cross = _FLOAT_SPAN
+    pairs = ((1, 1), (1, 200), (5, 17), (17, 2), (cross, 3), (cross, cross),
+             (cross + 1, cross + 1), (cross + 1, 120), (200, cross + 1))
+    routes = []
+    for n in range(1, 9):
+        for s, t in pairs:
+            if n ** 3 * s * t > 100_000:
+                continue
+            # entries of this many bits put n * min(s, t) * max|a| * max|b|
+            # below 2^53 or beyond it; the last ones reach 2^62
+            for bits in (1, 20, 62):
+                a, b = (np.array([[[rng.randint(-(1 << bits), 1 << bits)
+                                    for _ in range(n)] for _ in range(n)]
+                                  for _ in range(span)], dtype=np.int64)
+                        for span in (s, t))
+                x, y = (rng.randint(-50, 50), a), (rng.randint(-50, 50), b)
+                routes.append(_check_stack_mul(x, y))
+                routes.append(_check_stack_mul(y, x))
+    assert min(routes.count(r) for r in ("float", "bound", "span")) >= 10
+
+
+def test_stack_mul_of_zero_stacks_and_cancelling_ends():
+    rng = random.Random(232)
+    for n in range(1, 9):
+        ones = np.ones((3, n, n), dtype=np.int64)
+        for zero in ((0, ones[:0]), (4, 0 * ones)):
+            for x, y in ((zero, (-2, ones)), ((-2, ones), zero), (zero, zero)):
+                assert _check_stack_mul(x, y) == "float"
+                low, stack = stack_mul(x, y)
+                assert (low, stack.shape) == (0, (0, n, n))
+        if n < 2:
+            continue
+        # a_0 b_0 = 0 and a_top b_top = 0: both end degrees of the product
+        # cancel, and the result is trimmed at each end
+        e11 = np.zeros((n, n), dtype=np.int64)
+        e22 = e11.copy()
+        e11[0, 0] = e22[1, 1] = 1
+        for s, t in ((3, 4), (_FLOAT_SPAN, 2), (2, 150)):
+            a = np.array([[[rng.randint(-9, 9) for _ in range(n)]
+                           for _ in range(n)] for _ in range(s)])
+            b = np.array([[[rng.randint(-9, 9) for _ in range(n)]
+                           for _ in range(n)] for _ in range(t)])
+            a[0], a[-1], b[0], b[-1] = e11, 3 * e11, e22, -e22
+            assert _check_stack_mul((5, a), (-7, b)) == "float"
+            low, stack = stack_mul((5, a), (-7, b))
+            assert low > 5 - 7 and low + len(stack) < 5 - 7 + s + t - 1
+
+
+@pytest.mark.parametrize("a_max, b_max, route", [
+    (_UNDER53, 3, "float"), (_UNDER53 + 2, 3, "bound")])
+def test_stack_mul_is_exact_on_both_sides_of_the_float64_bound(
+        a_max, b_max, route):
+    # with every entry at its largest size and one sign, the middle degree
+    # of a span-3 by span-3 product sums all n * 3 products
+    n = _N53
+    for sign in (1, -1):
+        a = np.full((3, n, n), a_max, dtype=np.int64)
+        b = np.full((3, n, n), sign * b_max, dtype=np.int64)
+        assert _check_stack_mul((0, a), (0, b)) == route
+        got = stack_mul((0, a), (0, b))
+        if route == "float":
+            got = LaurentMatrix.from_stack(*got)
+        assert got[0, 0].coeff(2) == sign * n * 3 * a_max * b_max
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@ import functools
 import math
 import operator
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from burau import rep
@@ -13,7 +15,8 @@ from burau.rep import (GAMMA_CONDITIONS, DepthTooSmall, GammaElement,
                        burau_eval, burau_eval_trunc, burau_gamma, burau_gen,
                        form_j, gamma_check, gamma_coeff, ones_row, vector_v)
 from burau.words import (Inverse, Literal, Power, alpha_word, commutator,
-                         concat, delta_word, gen, pure_gen, word_permutation)
+                         concat, delta_word, fold, gen, parse_word, pure_gen,
+                         word_permutation)
 
 ZERO, ONE = LaurentPoly(0), LaurentPoly(1)
 
@@ -149,6 +152,87 @@ def test_literal_stack_is_the_truncated_exact_run():
                 assert got.shape == (precision, n, n) and got.dtype == object
                 assert all(type(x) is int for x in got.ravel())
                 assert TruncMatrix(got) == exact.truncate(precision)
+
+
+def test_dense_leaf_is_the_exact_run():
+    # the t-coordinate column operations on int64 stacks against the exact
+    # column operations on Laurent entries
+    rng = random.Random(405)
+    for n in range(2, 9):
+        runs = [[(rng.randint(1, n - 1), rng.choice((1, -1)))
+                 for _ in range(length)] for length in (0, 1, 2, 7, 30, 100)]
+        runs.append([(rng.randint(1, n - 1), -1) for _ in range(60)])
+        runs.append([(rng.randint(1, n - 1), 1) for _ in range(60)])
+        pure = []
+        while len(pure) < 100:
+            i = rng.randint(1, n - 1)
+            pure += pure_gen(n, i, rng.randint(i + 1, n)).letters
+        runs += [pure, [(i, -s) for i, s in reversed(pure)]]
+        for letters in runs:
+            low, stack = rep._literal_dense(n, letters)
+            assert stack.dtype == np.int64 and stack.shape[1:] == (n, n)
+            assert stack[0].any() and stack[-1].any()
+            assert LaurentMatrix.from_stack(low, stack) == rep._literal(
+                n, letters)
+
+
+def test_dense_leaf_past_int64_is_the_exact_run():
+    # (sigma_1 sigma_2^-1)^k has entries of about 1.3 k bits: 59 at
+    # k = 45, still int64, and 65 at k = 50, which takes the Laurent run
+    for k, dense in ((45, True), (50, False)):
+        letters = [(1, 1), (2, -1)] * k
+        got = rep._literal_dense(3, letters)
+        assert isinstance(got, tuple) == dense
+        if dense:
+            got = LaurentMatrix.from_stack(*got)
+        assert got == rep._literal(3, letters)
+
+
+def _kronecker_fold(w):
+    """The exact fold on Laurent leaves and Kronecker products alone."""
+    return fold(w, lambda letters: rep._literal(w.n, letters),
+                LaurentMatrix.identity(w.n))
+
+
+def test_eval_matches_the_kronecker_fold(monkeypatch):
+    rng = random.Random(406)
+    laurent_products = []
+    real = LaurentMatrix.__mul__
+    monkeypatch.setattr(LaurentMatrix, "__mul__", lambda a, b: (
+        laurent_products.append(1) or real(a, b)))
+    for trial in range(20):
+        n = rng.randint(2, 6)
+        parts = [rand_word(rng, n, rng.randint(1, 8)) for _ in range(3)]
+        w = concat(Power(n, parts[0], rng.randint(-6, 6)),
+                   commutator(parts[1], Inverse(n, parts[2])),
+                   Power(n, commutator(parts[2], parts[0]),
+                         rng.randint(-3, 3)))
+        assert burau_eval(w) == _kronecker_fold(w)
+    # entries beyond 2^53: past the float64 bound, the fold hands off
+    w = Power(3, Literal(3, [(1, 1), (2, -1)]), 50)
+    laurent_products.clear()
+    got = burau_eval(w)
+    assert laurent_products
+    assert max(abs(v) for row in got.rows for e in row
+               for v in e._c.values()) > 1 << 53
+    assert got == _kronecker_fold(w)
+
+
+def test_long_power_needs_no_more_memory_than_the_kronecker_fold():
+    for text, n in (("A12^1500", 3), ("(s1 s2 s3 s4)^300", 5)):
+        w = parse_word(text, n)
+        peaks = []
+        for evaluate in (_kronecker_fold, burau_eval):
+            tracemalloc.start()
+            try:
+                evaluate(w)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        old, new = peaks
+        # the float64 products stay below the Kronecker products' peak;
+        # 2 % covers allocator noise
+        assert new < 1.02 * old
 
 
 def test_trunc_eval_matches_exact():
