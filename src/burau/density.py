@@ -36,9 +36,11 @@ import json
 import math
 from typing import Iterator
 
+import numpy as np
+
 from .laurent import json_int
 from .liealg import GradedElement, g_basis, g_lattice, gen_x, sn_act
-from .linalg import IntLattice, IntMatrix, LaurentMatrix
+from .linalg import IntLattice, IntMatrix, LaurentMatrix, TruncMatrix
 from .rep import GammaElement, burau_eval, burau_eval_trunc, gamma_check
 from .words import (BraidWord, Perm, Power, all_perms, alpha_word, commutator,
                     concat, empty_word, flatten, gen, node_count, parse_word,
@@ -99,9 +101,10 @@ class Witness:
         return {"word": word_format(self.word), "element": self.element.to_json()}
 
     @staticmethod
-    def from_json(data: dict, n: int) -> "Witness":
+    def from_json(data: dict, n: int, table: dict | None = None) -> "Witness":
+        """``table``, when given, interns the word (see ``parse_word``)."""
         element = GradedElement.from_json(data["element"])
-        return Witness(parse_word(data["word"], n), element)
+        return Witness(parse_word(data["word"], n, table=table), element)
 
     def __repr__(self) -> str:
         return f"Witness(degree={self.degree}, word={word_format(self.word)!r})"
@@ -117,9 +120,10 @@ def _conjugate(by: BraidWord, w: BraidWord) -> BraidWord:
     return concat(by, w, by.inverse())
 
 
-def _coefficient(word: BraidWord, k: int) -> IntMatrix:
-    """The degree-k coefficient of a word that must have depth >= k."""
-    m = burau_eval_trunc(word, k + 1)
+def _coefficient(m: TruncMatrix, k: int) -> IntMatrix:
+    """The degree-k coefficient of a word's image mod s^p, p > k, where
+    the word must have depth >= k.  Truncation is a ring map, so any p
+    gives the coefficient and the depth test of p = k + 1."""
     if m.depth_bound() < k:
         raise LibraryIntegrityError(
             f"degree-{k} word has depth {m.depth_bound()}")
@@ -127,7 +131,15 @@ def _coefficient(word: BraidWord, k: int) -> IntMatrix:
 
 
 class WitnessLibrary:
-    """Per-degree witness lists with spanning certificates."""
+    """Per-degree witness lists with spanning certificates.
+
+    The witness words share most of their nodes: each degree's words are
+    built from the degree below.  The library keeps one fold memo (see
+    ``words.fold``) of their images mod s^(K+1), K = max_degree, so each
+    shared node is folded once, and one HNF lattice per degree.  Both are
+    made from the finished lists; the library keeps every word alive, so
+    the memo's node ids stay valid.
+    """
 
     def __init__(self, n: int, max_degree: int,
                  per_degree: dict[int, list[Witness]],
@@ -136,6 +148,8 @@ class WitnessLibrary:
         self.max_degree = max_degree
         self.per_degree = per_degree
         self.inductors = inductors
+        self._memo: dict | None = None
+        self._lattices: dict[int, IntLattice] = {}
 
     def witnesses(self, k: int) -> list[Witness]:
         if not 1 <= k <= self.max_degree:
@@ -143,44 +157,93 @@ class WitnessLibrary:
         return self.per_degree[k]
 
     def coefficient_lattice(self, k: int) -> IntLattice:
+        if k not in self._lattices:
+            self._lattices[k] = self._lattice(k)
+        return self._lattices[k]
+
+    def _lattice(self, k: int) -> IntLattice:
         return IntLattice(self.n * self.n,
                           [w.element.matrix.vec() for w in self.witnesses(k)])
+
+    def _fold(self, memo: dict) -> dict[int, list[TruncMatrix]]:
+        """Every witness's image mod s^(K+1), folded through ``memo``."""
+        p = self.max_degree + 1
+        return {k: [burau_eval_trunc(w.word, p, memo) for w in ws]
+                for k, ws in self.per_degree.items()}
+
+    def fold_memo(self, precision: int) -> dict:
+        """A copy of the library's fold memo, truncated to precision
+        <= K + 1, to fold words made of the library's words.  Nodes of
+        such a word enter only the copy, so no id of a node that dies
+        can reach the library's memo.  A library loaded with trust fills
+        its memo here, on first use."""
+        if self._memo is None:
+            memo: dict = {}
+            self._fold(memo)
+            self._memo = memo
+        if precision == self.max_degree + 1:
+            return dict(self._memo)
+        return {key: TruncMatrix(m.stack[:precision])
+                for key, m in self._memo.items()}
 
     # -- verification ------------------------------------------------------
 
     def verify(self) -> None:
         """Recompute every stored coefficient and every spanning and
-        induction certificate; raise LibraryIntegrityError on any miss."""
+        induction certificate; raise LibraryIntegrityError on any miss.
+
+        The witnesses are folded through a new memo, never an earlier
+        one, and the lattices are made anew; the library keeps both."""
+        lattices = {}
         for k in range(1, self.max_degree + 1):
             if any(w.element.degree != k or w.element.n != self.n
                    for w in self.per_degree[k]):
                 raise LibraryIntegrityError("degree or size mismatch in library")
-            if self.coefficient_lattice(k) != g_lattice(self.n, k):
+            lattices[k] = self._lattice(k)
+            if lattices[k] != g_lattice(self.n, k):
                 raise LibraryIntegrityError(f"degree {k} no longer spans")
         for k, ind in self.inductors.items():
             if ind.element.matrix != _induction_target(self.n):
                 raise LibraryIntegrityError(f"inductor at degree {k} has the "
                                             "wrong coefficient")
-        for k in range(1, self.max_degree + 1):
-            for w in self.per_degree[k]:
-                if _coefficient(w.word, k) != w.element.matrix:
+        memo: dict = {}
+        for k, images in self._fold(memo).items():
+            for w, m in zip(self.per_degree[k], images):
+                if _coefficient(m, k) != w.element.matrix:
                     raise LibraryIntegrityError(
                         f"stored degree-{k} word has a different coefficient "
                         "than recorded")
+        self._memo, self._lattices = memo, lattices
         self.verify_induction()
 
     def verify_induction(self) -> None:
         """Check the odd-degree step on every stored word it could consume:
         bracketing A_25^2 A_45 against a depth-k word with coefficient
         X_24 - X_25 must land on X_24 - X_25 modulo 2 G_{k+2}.  The
-        inductors are listed among their degree's witnesses."""
+        inductors are listed among their degree's witnesses.
+
+        With S = A_25^2 A_45 = I + O(s) and W = I + O(s^k),
+        [S, W] = I + (SW - WS) S^-1 W^-1 and SW - WS = O(s^(k+1)) is
+        bilinear in S - I and W - I, so [S, W] mod s^(k+3) reads W only
+        mod s^(k+2).  The library's fold memo, mod s^(K+1), gives W that
+        far when K >= k + 1; when that image has depth >= k, W stands in
+        the bracket as it, with a zero s^(k+2) coefficient."""
         target = _induction_target(self.n)
         shift = _a25sq_a45(self.n)
         for k in (3, 5):
+            p = k + 3
             for w in self.per_degree.get(k, ()):
                 if w.element.matrix != target:
                     continue
-                diff = _coefficient(commutator(shift, w.word), k + 2) - target
+                given = {}
+                if self._memo is not None and k < self.max_degree:
+                    low = self._memo[id(w.word), False].stack[:p - 1]
+                    image = TruncMatrix(np.concatenate([low, 0 * low[:1]]))
+                    if image.depth_bound() >= k:
+                        given = {(id(w.word), False): image,
+                                 (id(w.word), True): image.inverse()}
+                m = burau_eval_trunc(commutator(shift, w.word), p, given)
+                diff = _coefficient(m, k + 2) - target
                 if not _two_g_lattice(self.n, k + 2).contains(diff.vec()):
                     raise LibraryIntegrityError(
                         f"induction from degree {k} misses the congruence")
@@ -206,7 +269,11 @@ class WitnessLibrary:
         n = json_int(data["n"], name="n")
         max_degree = json_int(data["maxDegree"], name="maxDegree")
         degrees = data["degrees"]
-        per_degree = {k: [Witness.from_json(w, n) for w in degrees[str(k)]]
+        # one intern table: a subword the text repeats becomes one node,
+        # so the fold memo evaluates it once
+        table: dict = {}
+        per_degree = {k: [Witness.from_json(w, n, table)
+                          for w in degrees[str(k)]]
                       for k in range(1, max_degree + 1)}
         # each inductor is stored again among its degree's witnesses; share
         # that entry, so verify evaluates it once
@@ -315,6 +382,9 @@ def build_witness_library(n: int, max_degree: int) -> WitnessLibrary:
     per_degree: dict[int, list[Witness]] = {}
     inductors: dict[int, Witness] = {}
     dim = n * n
+    # the raw inductors' images mod s^(K+1), through one fold memo as the
+    # library's; each raw inductor stays alive in the inductor built on it
+    memo: dict = {}
 
     for k in range(1, max_degree + 1):
         if k == 3 and n < 4:
@@ -325,7 +395,8 @@ def build_witness_library(n: int, max_degree: int) -> WitnessLibrary:
         raw_inductor = None
         if k % 2 == 1 and k >= 5:
             word = commutator(_a25sq_a45(n), inductors[k - 2].word)
-            raw_inductor = Witness(word, GradedElement(k, _coefficient(word, k)))
+            image = burau_eval_trunc(word, max_degree + 1, memo)
+            raw_inductor = Witness(word, GradedElement(k, _coefficient(image, k)))
 
         target = g_lattice(n, k)
         chosen: list[Witness] = []
@@ -472,10 +543,13 @@ def approximate(gamma: GammaElement | LaurentMatrix, max_degree: int | None = No
                          f"{library.max_degree}")
 
     precision = max_degree + 1
+    # the corrections are products of witness powers: fold them through
+    # the library's memo, so no witness word is folded again
+    memo = library.fold_memo(precision)
     images = matrix.at_one().permutation_images()
     word: BraidWord = perm_lift(Perm(images))
     g_inv = matrix.truncate(precision).inverse()
-    residual = g_inv * burau_eval_trunc(word, precision)
+    residual = g_inv * burau_eval_trunc(word, precision, memo)
     if residual.depth_bound() < 1:
         raise DepthRegression("permutation step left a nonzero constant term")
     steps = [StepRecord(0, images, residual.depth_bound())]
@@ -491,7 +565,8 @@ def approximate(gamma: GammaElement | LaurentMatrix, max_degree: int | None = No
             continue
         coeffs, correction = _solve(library, k, t)
         word = concat(word, correction.inverse())
-        residual = residual * burau_eval_trunc(correction, precision).inverse()
+        residual = residual * burau_eval_trunc(correction, precision,
+                                               memo).inverse()
         if residual.depth_bound() < k + 1:
             raise DepthRegression(f"degree-{k} step did not clear its "
                                   "coefficient")

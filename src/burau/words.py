@@ -500,10 +500,24 @@ class _Tokens:
 
 
 class _Parser:
-    def __init__(self, text: str, n: int, bindings: Mapping[str, BraidWord]):
+    def __init__(self, text: str, n: int, bindings: Mapping[str, BraidWord],
+                 table: dict[tuple, BraidWord] | None = None):
         self.toks = _Tokens(text)
         self.n = n
         self.bindings = bindings
+        self.table = table
+
+    def _node(self, key: tuple, make: Callable[[], BraidWord]) -> BraidWord:
+        """make(), or with an intern table the node it holds under key:
+        the node type, then the children's identities and the letters or
+        exponent, which the table's nodes keep valid."""
+        if self.table is None:
+            return make()
+        key = (self.n, *key)
+        node = self.table.get(key)
+        if node is None:
+            node = self.table[key] = make()
+        return node
 
     def parse(self) -> BraidWord:
         w = self.word()
@@ -517,10 +531,11 @@ class _Parser:
         while self.toks.peek()[0] in ("name", "lbrack", "lparen"):
             terms.append(self.term())
         if not terms:
-            return empty_word(self.n)
+            return self._node((Literal, ()), lambda: empty_word(self.n))
         if len(terms) == 1:
             return terms[0]
-        return Concat(self.n, terms)
+        return self._node((Concat, *map(id, terms)),
+                          lambda: Concat(self.n, terms))
 
     def term(self) -> BraidWord:
         atom = self.atom()
@@ -530,7 +545,9 @@ class _Parser:
             if kind != "int":
                 raise ParseError(self.toks.text, pos, ("integer exponent",))
             self.toks.next()
-            return Power(self.n, atom, int(val))
+            k = int(val)
+            return self._node((Power, id(atom), k),
+                              lambda: Power(self.n, atom, k))
         return atom
 
     def _index(self, after: str) -> int:
@@ -556,7 +573,8 @@ class _Parser:
             self.toks.expect("comma", "','")
             right = self.word()
             self.toks.expect("rbrack", "']'")
-            return Commutator(self.n, left, right)
+            return self._node((Commutator, id(left), id(right)),
+                              lambda: Commutator(self.n, left, right))
         if kind == "lparen":
             inner = self.word()
             self.toks.expect("rparen", "')'")
@@ -591,19 +609,28 @@ class _Parser:
         if not 1 <= i <= self.n - 1:
             raise IndexOutOfRange(
                 f"generator index {i} not in 1..{self.n - 1} (at position {pos})")
-        return gen(self.n, i, 1 if kind == "s" else -1)
+        sign = 1 if kind == "s" else -1
+        return self._node((Literal, ((i, sign),)),
+                          lambda: gen(self.n, i, sign))
 
     def _pure(self, i: int, j: int, pos: int) -> BraidWord:
         if not (1 <= i < j <= self.n):
             raise IndexOutOfRange(
                 f"twist indices ({i},{j}) invalid for n={self.n} (at position {pos})")
-        return pure_gen(self.n, i, j)
+        word = pure_gen(self.n, i, j)
+        return self._node((Literal, word.letters), lambda: word)
 
 
 def parse_word(text: str, n: int,
-               bindings: Mapping[str, BraidWord] | None = None) -> BraidWord:
-    """Parse a word in the surface grammar.  Empty input is the empty word."""
-    return _Parser(text, n, bindings or {}).parse()
+               bindings: Mapping[str, BraidWord] | None = None,
+               table: dict[tuple, BraidWord] | None = None) -> BraidWord:
+    """Parse a word in the surface grammar.  Empty input is the empty word.
+
+    ``table``, when given, interns the nodes: a subword parsed again,
+    here or in any word parsed through the same table, is the node made
+    the first time.  The structure, and so ``word_format``, is the same.
+    """
+    return _Parser(text, n, bindings or {}, table).parse()
 
 
 # ---------------------------------------------------------------------------

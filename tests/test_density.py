@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from burau import density, laurent
+from burau import density, laurent, linalg
 from burau.density import (LibraryIntegrityError, NoSolution, NotInGamma,
                            SpanFailure, WitnessLibrary, approximate,
                            build_witness_library, default_library,
@@ -20,7 +20,8 @@ from burau.liealg import GradedElement, g_lattice, gen_x
 from burau.linalg import IntMatrix, LaurentMatrix, TruncMatrix, perm_matrix
 from burau.rep import burau_eval, burau_eval_trunc, burau_gamma, gamma_coeff
 from burau.words import (Power, alpha_word, commutator, concat, delta_word,
-                         flatten, gen, parse_word, pure_gen)
+                         flatten, gen, node_count, parse_word, pure_gen,
+                         word_format)
 
 N = 5
 
@@ -179,7 +180,8 @@ def test_verify_evaluates_each_witness_once(monkeypatch):
     words = []
     real = density.burau_eval_trunc
     monkeypatch.setattr(density, "burau_eval_trunc",
-                        lambda w, p: words.append(w) or real(w, p))
+                        lambda w, p, memo=None:
+                        words.append(w) or real(w, p, memo))
     lib.verify()
     # each listed witness once (the inductors are listed among their
     # degree's witnesses), plus the induction words from degrees 3 and 5
@@ -192,9 +194,143 @@ def test_verify_of_a_loaded_library_evaluates_each_witness_once(monkeypatch):
     words = []
     real = density.burau_eval_trunc
     monkeypatch.setattr(density, "burau_eval_trunc",
-                        lambda w, p: words.append(w) or real(w, p))
+                        lambda w, p, memo=None:
+                        words.append(w) or real(w, p, memo))
     lib.verify()
     assert len(words) == sum(len(lib.witnesses(k)) for k in range(1, 6)) + 2
+
+
+# ---------------------------------------------------------------------------
+# the library's fold memo and interned words
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_memo_images_match_fresh_evaluation(n):
+    # each witness's image mod s^(K+1), read from the one shared memo, cut
+    # to k + 1 degrees is its fresh image mod s^(k+1)
+    lib = default_library(n, 6)
+    memo = lib.fold_memo(7)
+    for k in range(1, 7):
+        for w in lib.witnesses(k):
+            fresh = burau_eval_trunc(w.word, k + 1)
+            shared = memo[id(w.word), False]
+            assert TruncMatrix(shared.stack[:k + 1]) == fresh
+            assert fresh.coefficient(k) == w.element.matrix
+
+
+def test_induction_brackets_from_the_memo_match_fresh_ones(monkeypatch):
+    # the bracket [A_25^2 A_45, W] mod s^(k+3) folds W from its image mod
+    # s^(k+2) with a zero next degree; it must be the fresh bracket
+    lib = default_library(N, 6)
+    folds = []
+    real = density.burau_eval_trunc
+
+    def spy(w, p, memo=None):
+        out = real(w, p, memo)
+        folds.append((w, p, bool(memo), out))
+        return out
+
+    monkeypatch.setattr(density, "burau_eval_trunc", spy)
+    lib.verify_induction()
+    assert [(p, given) for _w, p, given, _out in folds] == [(6, True),
+                                                            (8, True)]
+    for w, p, _given, out in folds:
+        assert out == real(w, p)
+
+
+def _approximations(lib, degrees):
+    words = ("A13 A24^-1 s2^2", "[A13 A24, s4] A12^-2 A35 s2",
+             "s1 s3^-1 A25 s2 [A14, A23]^3")
+    return [approximate(burau_eval(parse_word(t, N)), k, library=lib,
+                        exact_check=False).to_json()
+            for t in words for k in degrees]
+
+
+def test_approximate_is_the_same_with_and_without_the_memo(monkeypatch):
+    built = default_library(N, 6)
+    loaded = WitnessLibrary.from_json(
+        json.loads(json.dumps(built.to_json())), trust=True)
+    assert loaded._memo is None
+    # K = 6, and below it through the memo's images cut to fewer degrees
+    libs = (built, loaded)
+    got = [_approximations(lib, (6, 5, 3)) for lib in libs]
+    # a trusted library fills its memo on first use
+    assert loaded._memo is not None
+    # the same steps either way; the words differ only where the parser
+    # read "(x)^-1" as a power
+    assert [r["perStep"] for r in got[0]] == [r["perStep"] for r in got[1]]
+    # the oracle: every word folded afresh, as without a memo
+    monkeypatch.setattr(WitnessLibrary, "fold_memo", lambda self, p: {})
+    assert [_approximations(lib, (6, 5, 3)) for lib in libs] == got
+
+
+def test_verify_folds_afresh_and_publishes_its_memo():
+    lib = build_witness_library(N, 5)
+    # certification must not read an earlier memo: poison every entry
+    ident = TruncMatrix.identity(N, 6)
+    lib._memo = dict.fromkeys(lib._memo, ident)
+    lib.verify()
+    assert lib._memo and all(m is not ident for m in lib._memo.values())
+
+
+def test_approximation_reuses_the_coefficient_lattices(monkeypatch):
+    # a built library keeps the lattices its verify() made: approximating
+    # makes no HNF, where it used to make one per nonzero step
+    lib = build_witness_library(N, 5)
+    assert sorted(lib._lattices) == [1, 2, 3, 4, 5]
+    calls = [0]
+    real = linalg.row_hnf
+
+    def counting(rows):
+        calls[0] += 1
+        return real(rows)
+
+    monkeypatch.setattr(linalg, "row_hnf", counting)
+    assert _approximations(lib, (5,))
+    assert calls[0] == 0
+    # a trusted library makes each degree's lattice once
+    loaded = WitnessLibrary.from_json(
+        json.loads(json.dumps(lib.to_json())), trust=True)
+    _approximations(loaded, (5,))
+    assert calls[0] == 5
+
+
+def test_approximate_leaves_the_library_memo_alone():
+    lib = build_witness_library(N, 5)
+    keys = dict.fromkeys(lib._memo)
+    values = list(lib._memo.values())
+    _approximations(lib, (5, 3))
+    assert list(lib._memo) == list(keys)
+    assert all(a is b for a, b in zip(lib._memo.values(), values))
+
+
+def test_an_edit_in_one_copy_of_a_shared_subword_is_caught():
+    data = json.loads(json.dumps(default_library(N, 6).to_json()))
+    inner = data["degrees"]["5"][0]["word"]
+    users = [w for w in data["degrees"]["6"] if inner in w["word"]]
+    assert len(users) >= 2
+    victim, other = users[0], users[1]
+    # the victim's copy squared: its degree-6 coefficient doubles
+    victim["word"] = victim["word"].replace(inner, f"({inner})^2", 1)
+    lib = WitnessLibrary.from_json(data, trust=True)
+    assert word_format(lib.witnesses(6)[data["degrees"]["6"].index(other)]
+                       .word) == other["word"]
+    with pytest.raises(LibraryIntegrityError, match="different coefficient"):
+        WitnessLibrary.from_json(data)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_interned_witnesses_format_as_their_text(n):
+    data = json.loads(json.dumps(default_library(n, 6).to_json()))
+    lib = WitnessLibrary.from_json(data, trust=True)
+    words = [w.word for k in range(1, 7) for w in lib.witnesses(k)]
+    apart = [parse_word(w["word"], n) for k in range(1, 7)
+             for w in data["degrees"][str(k)]]
+    # the parser reads "(x)^-1" as a power, so a loaded word formats as
+    # its text parsed on its own, interned or not
+    assert [word_format(w) for w in words] == [word_format(w) for w in apart]
+    # the text repeats its subwords; the loaded words share them
+    assert 5 * node_count(concat(*words)) < node_count(concat(*apart))
 
 
 def test_witness_power_costs_no_products(monkeypatch):

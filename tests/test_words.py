@@ -92,6 +92,27 @@ def test_format_parse_round_trip():
         assert eval_equal(w, again)
 
 
+def test_parse_through_one_table_shares_repeated_subwords():
+    table = {}
+    text = "[A13 s2^2,[s1 S3,A24]] (s1 S3)^-2 [s1 S3,A24]"
+    w = parse_word(text, 5, table=table)
+    again = parse_word("s2 [s1 S3,A24]", 5, table=table)
+    plain = parse_word(text, 5)
+    assert word_format(w) == word_format(plain)
+    assert eval_equal(w, plain)
+    # the one "s1 S3" node sits under all three of its occurrences
+    inner = w.parts[0].right
+    assert inner.left is w.parts[1].child is w.parts[2].left
+    # and a later word through the same table gets the same bracket
+    assert again.parts[1] is w.parts[2] is inner
+    assert node_count(w) < node_count(plain)
+    # different exponents or letters stay apart
+    assert parse_word("s1^2", 5, table=table) is not parse_word(
+        "s1^3", 5, table=table)
+    assert parse_word("s1", 5, table=table) is not parse_word(
+        "S1", 5, table=table)
+
+
 # ---------------------------------------------------------------------------
 # constructors and group identities
 
