@@ -655,8 +655,7 @@ def trunc_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     2^53 converts to at least 2^53 and fails the bound, and one beyond
     float range fails the conversion.  Otherwise the product is
     :func:`trunc_mul_ints`, on Python ints."""
-    p, na, n, _ = a.shape
-    nb = b.shape[1]
+    p, _, n, _ = a.shape
     try:
         fa, fb = a.astype(np.float64), b.astype(np.float64)
         fits = (int(np.abs(fa).max(initial=0))
@@ -667,13 +666,26 @@ def trunc_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return trunc_mul_ints(a.astype(object, copy=False),
                               b.astype(object, copy=False)).astype(
                                   b.dtype, copy=False)
-    lhs = fa.transpose(1, 2, 0, 3).reshape(na * n, p * n)
-    padded = np.concatenate([fb, np.zeros((1, nb, n, n))])
-    rhs = padded[_toeplitz_index(p)].transpose(0, 3, 1, 2, 4)
-    out = (lhs @ rhs.reshape(p * n, p * nb * n)).reshape(na, n, p, nb, n)
     # through int64: float64 to object would give Python floats
-    out = out.transpose(2, 0, 3, 1, 4).astype(np.int64, order="C")
-    return out.reshape(p, na * nb, n, n).astype(b.dtype, copy=False)
+    return toeplitz_mul(fa, toeplitz_operand(fb), np.int64).astype(
+        b.dtype, copy=False)
+
+
+def toeplitz_operand(b: np.ndarray) -> np.ndarray:
+    """:func:`trunc_mul`'s block upper Toeplitz right side, (p n, p B n),
+    of the float64 batch ``b`` (p, B, n, n)."""
+    p, nb, n, _ = b.shape
+    rhs = np.concatenate([b, np.zeros((1, nb, n, n))])[_toeplitz_index(p)]
+    return rhs.transpose(0, 3, 1, 2, 4).reshape(p * n, p * nb * n)
+
+
+def toeplitz_mul(a: np.ndarray, rhs: np.ndarray, dtype=float) -> np.ndarray:
+    """:func:`trunc_mul` of the float64 batch ``a`` by the batch whose
+    :func:`toeplitz_operand` is ``rhs``, as ``dtype``; exact under its bound."""
+    p, na, n, _ = a.shape
+    lhs = a.transpose(1, 2, 0, 3).reshape(na * n, p * n)
+    out = (lhs @ rhs).reshape(na, n, p, -1, n).transpose(2, 0, 3, 1, 4)
+    return out.astype(dtype, order="C").reshape(p, -1, n, n)
 
 
 def trunc_depths(stacks: np.ndarray) -> np.ndarray:

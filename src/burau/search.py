@@ -10,19 +10,19 @@ index of L, then the index of R.  Structurally equal left and right halves
 are skipped (the commutator is trivial), as are trees nested deeper than
 the configured bound.
 
-Evaluation runs in the truncated ring on the terms' coefficient stacks,
-through the batched kernel of `linalg` (`trunc_mul`, `trunc_depths`).  A
-prefix's continuations are multiplied as batches: all the sibling prefixes
-of one slot by one `trunc_mul`, and the last two slots as one outer block.
-With two slots left after a prefix P, the candidates of one split of the
-remaining size run over P * A[a] * B[b], a-major and b-minor, so each
-block is the products of the stacks of P * A by those of B.  The batches
-are int64 when an a-priori bound on every product's entries fits, and
-exact Python integers (object dtype) otherwise; `trunc_mul` runs each one
-as a single float64 matrix product when its operands bound every sum below
-2^53, on Python ints otherwise, and returns the batch's dtype.  A config
-whose term table would exceed `MAX_TABLE_TERMS` is refused, since the
-table is evaluated in full before the budget applies.
+The scan carries the live prefixes of one slot, as coefficient stacks mod
+s^p, in one batch with the contract index at which each prefix's candidates
+start.  Those candidates are contiguous and their count depends only on the
+size and slots left, so term b of size s after prefix P has index base(P) +
+(the candidates of the smaller sizes in this slot) + b * (the candidates
+after one term of size s).  A product is a slab of prefixes times a slab of
+terms, at most `_BLOCK` stacks; the budget drops every prefix and candidate
+whose index reaches it.  Raw hits are kept as (index, depth), sorted once,
+and read back into terms.  Tables under an a-priori bound of 2^53 are
+float64, multiplied by ``linalg.toeplitz_mul`` against block-Toeplitz
+operands built once per search; others take ``linalg.trunc_mul``.  A config
+whose term table would exceed `MAX_TABLE_TERMS` is refused, since the table
+is evaluated in full before the budget applies.
 
 Every raw hit is rechecked once, sharing nothing with the scan: its image
 mod s^p is rebuilt from the truncated generator images on Python ints
@@ -33,14 +33,17 @@ certifies the depth and the leading coefficient exactly.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import math
 from typing import Sequence
 
 import numpy as np
 
 from .laurent import json_int
 from .liealg import GradedElement, orbit_key
-from .linalg import TruncMatrix, trunc_depths, trunc_mul, trunc_mul_ints
+from .linalg import (TruncMatrix, toeplitz_mul, toeplitz_operand, trunc_depths,
+                     trunc_mul, trunc_mul_ints)
 from .rep import burau_eval_trunc, burau_gen
 from .words import BraidWord, commutator, concat, fold, parse_word, word_format
 
@@ -50,8 +53,8 @@ from .words import BraidWord, commutator, concat, fold, parse_word, word_format
 #: enumerating the trees; 2-CPU x86 box, Python 3.11), so the cap bounds
 #: that near 1.5 s.
 MAX_TABLE_TERMS = 4096
-#: the most candidates the last two slots multiply out in one block
-_BLOCK = 1024
+#: the most stacks one product of the scan makes
+_BLOCK = 256
 
 
 def _term_count(pool_size: int, max_nesting: int, cap: int) -> int:
@@ -215,8 +218,8 @@ def _term_table(cfg: SearchConfig) -> tuple[list[list[BraidWord]],
     has no term).  [L, R] is built from the word objects of L and R, and
     every table is folded through one memo that ``words`` keeps alive, so a
     commutator costs three products over its already-folded halves.  The
-    tables are int64 when an a-priori bound on every candidate product's
-    entries fits, and exact Python integers (object dtype) otherwise."""
+    tables are float64 when an a-priori bound on every candidate product's
+    entries is below 2^53, int64 when it fits, and Python ints otherwise."""
     built: dict[Tree, BraidWord] = {}
     words: list[list[BraidWord]] = []
     for level in _terms_by_size(cfg):
@@ -232,9 +235,13 @@ def _term_table(cfg: SearchConfig) -> tuple[list[list[BraidWord]],
     # most c has entries, and partial sums, of size at most c^m (n p)^(m-1)
     c = max(int(np.abs(a).max()) for a in arrays if a is not None)
     m = cfg.max_terms
-    dtype = (np.int64 if c ** m * (cfg.n * cfg.precision) ** (m - 1) < 1 << 62
+    bound = c ** m * (cfg.n * cfg.precision) ** (m - 1)
+    dtype = (np.float64 if bound < 1 << 53 else np.int64 if bound < 1 << 62
              else object)
-    return words, [a if a is None else a.astype(dtype) for a in arrays]
+    # through int64 where it fits: Python ints convert to float64 slowly
+    via = object if dtype is object else np.int64
+    return words, [a if a is None else a.astype(via).astype(dtype)
+                   for a in arrays]
 
 
 # ---------------------------------------------------------------------------
@@ -248,77 +255,90 @@ def search_deep(cfg: SearchConfig) -> SearchOutcome:
     action), keeping the earliest candidate."""
     n, precision, target = cfg.n, cfg.precision, cfg.target_depth
     term_words, term_arrays = _term_table(cfg)
-    max_term_size = len(term_words) - 1
-    dtype = term_arrays[1].dtype
+    top, m = len(term_words) - 1, cfg.max_terms
 
-    # a prefix is a batch of one stack: (p, 1, n, n)
-    ident = TruncMatrix.identity(n, precision).stack[:, None].astype(dtype)
+    def width(size: int, remaining: int, slots: int) -> int:
+        """The candidates that follow each term of ``size`` put in the first
+        of ``slots`` slots that hold terms of total size ``remaining``."""
+        if size == remaining:
+            return 1
+        return count(remaining - size, slots - 1) if slots > 1 else 0
 
-    counter = 0
-    exhausted = False
-    raw_hits: list[tuple[int, tuple[BraidWord, ...], int]] = []
+    @functools.cache
+    def count(remaining: int, slots: int) -> int:
+        return sum(len(term_words[size]) * width(size, remaining, slots)
+                   for size in range(1, min(remaining, top) + 1))
 
-    def take(count: int) -> int:
-        """How many of the next ``count`` candidates the budget admits."""
-        nonlocal exhausted
-        if cfg.budget is not None and counter + count > cfg.budget:
-            exhausted = True
-            return cfg.budget - counter
-        return count
+    # starts[t - 1]: the index of the first candidate of total size t, as
+    # far as the budget reaches; every size up to top has terms, so every
+    # total up to m * top has candidates
+    budget = math.inf if cfg.budget is None else cfg.budget
+    starts = [0]
+    while len(starts) <= m * top and starts[-1] < budget:
+        starts.append(starts[-1] + count(len(starts), m))
+    limit = min(starts[-1], budget)
+    if limit > 1 << 50:
+        raise ValueError(f"{limit} candidates; at most 2^50 can be indexed")
+    fast = term_arrays[1].dtype == np.float64
+    mul = toeplitz_mul if fast else trunc_mul
 
-    def scan(out: np.ndarray, words_of) -> None:
-        """Record the raw hits of the block ``out`` (p, B, n, n), the next B
-        candidates; ``words_of(t)`` is the term words of its t-th."""
-        nonlocal counter
-        depths = trunc_depths(out)
-        for t in np.flatnonzero((depths >= target) & (depths < precision)):
-            raw_hits.append((counter + int(t), words_of(int(t)),
-                             int(depths[t])))
-        counter += out.shape[1]
+    @functools.cache
+    def slabs(size: int) -> list[tuple[int, int, np.ndarray]]:
+        """(first, count, right side) per slab of _BLOCK terms of ``size``;
+        a float64 table's right side is its block-Toeplitz operand."""
+        a = term_arrays[size]
+        return [(c0, min(_BLOCK, a.shape[1] - c0),
+                 toeplitz_operand(a[:, c0:c0 + _BLOCK]) if fast
+                 else a[:, c0:c0 + _BLOCK])
+                for c0 in range(0, a.shape[1], _BLOCK)]
 
-    def emit(remaining: int, slots: int, prefix_words: tuple[BraidWord, ...],
-             prefix: np.ndarray) -> bool:
-        """Enumerate continuations; returns False when the budget is hit."""
-        for size in range(1, min(remaining, max_term_size) + 1):
-            level = term_words[size]
-            if not level:
-                continue
-            if size == remaining:
-                limit = take(len(level))
-                if limit > 0:
-                    scan(trunc_mul(prefix, term_arrays[size][:, :limit]),
-                         lambda t: prefix_words + (level[t],))
-            elif slots == 2:
-                # the last two slots: one outer block, a-major and b-minor
-                rest = remaining - size
-                if rest > max_term_size or not term_words[rest]:
-                    continue
-                right = term_words[rest]
-                width = len(right)
-                limit = take(len(level) * width)
-                rows = -(-limit // width)
-                lefts = trunc_mul(prefix, term_arrays[size][:, :rows])
-                step = max(1, _BLOCK // width)
-                for a0 in range(0, rows, step):
-                    block = trunc_mul(lefts[:, a0:a0 + step],
-                                      term_arrays[rest])
-                    scan(block[:, :limit - a0 * width],
-                         lambda t: prefix_words + (
-                             level[a0 + t // width], right[t % width]))
-            elif slots > 2:
-                nexts = trunc_mul(prefix, term_arrays[size])
-                for idx, word in enumerate(level):
-                    if not emit(remaining - size, slots - 1,
-                                prefix_words + (word,), nexts[:, idx, None]):
-                        return False
-            if exhausted:
-                return False
-        return True
+    found = [np.zeros((2, 0), np.int64)]  # (index, depth) of raw hits
 
-    max_total = cfg.max_terms * max_term_size
-    for total in range(1, max_total + 1):
-        if not emit(total, cfg.max_terms, (), ident):
-            break
+    def walk(remaining: int, slots: int, prefixes: np.ndarray,
+             bases: np.ndarray) -> None:
+        """Scan every candidate that fills ``slots`` more slots of total
+        size ``remaining`` after one of ``prefixes`` (p, K, n, n), whose
+        candidates start at ``bases`` (ascending).  Counts are clipped at
+        ``limit``: an index is exact below it and at least it otherwise."""
+        offset = 0
+        for size in range(1, min(remaining, top) + 1):
+            w = min(width(size, remaining, slots), limit)
+            for c0, cols, table in slabs(size) if w else ():
+                step = max(1, _BLOCK // cols)
+                live = np.count_nonzero(bases + offset + c0 * w < limit)
+                for r0 in range(0, live, step):
+                    out = mul(prefixes[:, r0:r0 + step], table)
+                    index = (bases[r0:r0 + step, None] + offset
+                             + (c0 + np.arange(cols)) * w).ravel()
+                    if size == remaining:
+                        depths = trunc_depths(out)
+                        hit = ((depths >= target) & (depths < precision)
+                               & (index < limit))
+                        found.append(np.stack([index, depths])[:, hit])
+                    else:
+                        k = np.count_nonzero(index < limit)
+                        walk(remaining - size, slots - 1, out[:, :k],
+                             index[:k])
+            offset = min(offset + len(term_words[size]) * w, limit)
+
+    ident = TruncMatrix.identity(n, precision).stack[:, None].astype(
+        term_arrays[1].dtype)  # the empty prefix, a batch of one stack
+    for total, start in enumerate(starts[:-1], start=1):
+        walk(total, m, ident, np.array([start]))
+
+    def sequence(index: int) -> tuple[BraidWord, ...]:
+        """The term words of the candidate at ``index``."""
+        remaining = bisect.bisect_right(starts, index)
+        index, slots, seq = index - starts[remaining - 1], m, []
+        while remaining:
+            for size in range(1, min(remaining, top) + 1):
+                w = width(size, remaining, slots)
+                if index < len(term_words[size]) * w:
+                    break
+                index -= len(term_words[size]) * w
+            seq.append(term_words[size][index // w])
+            index, remaining, slots = index % w, remaining - size, slots - 1
+        return tuple(seq)
 
     # the recheck.  Each generator image is built once, on first use; one
     # fold memo serves every term word (raw hits share them, and
@@ -340,12 +360,13 @@ def search_deep(cfg: SearchConfig) -> SearchOutcome:
     keys: dict[tuple, tuple[int, ...]] = {}
     hits: list[SearchHit] = []
     seen: set[tuple[int, ...]] = set()
-    for index, seq, depth in raw_hits:
-        m = TruncMatrix(product([fold(w, leaf, one, product, folded)
-                                 for w in seq])[:, 0])
-        if m.depth_bound() != depth:
+    for index, depth in sorted(np.concatenate(found, axis=1).T.tolist()):
+        seq = sequence(index)
+        image = TruncMatrix(product([fold(w, leaf, one, product, folded)
+                                     for w in seq])[:, 0])
+        if image.depth_bound() != depth:
             raise AssertionError("recheck disagrees with the scan")
-        leading = GradedElement(depth, m.coefficient(depth))
+        leading = GradedElement(depth, image.coefficient(depth))
         memo = (depth, leading.matrix.rows)
         if memo not in keys:
             keys[memo] = orbit_key(leading)
@@ -356,7 +377,8 @@ def search_deep(cfg: SearchConfig) -> SearchOutcome:
         hits.append(SearchHit(concat(*seq), depth, leading, index))
         if len(hits) >= cfg.result_cap:
             break
-    return SearchOutcome(hits, counter, exhausted)
+    return SearchOutcome(hits, limit,
+                         limit < starts[-1] or len(starts) <= m * top)
 
 
 # ---------------------------------------------------------------------------

@@ -538,6 +538,7 @@ class _Parser:
                           lambda: Concat(self.n, terms))
 
     def term(self) -> BraidWord:
+        group = self.toks.peek()[0] == "lparen"
         atom = self.atom()
         if self.toks.peek()[0] == "caret":
             self.toks.next()
@@ -546,6 +547,10 @@ class _Parser:
                 raise ParseError(self.toks.text, pos, ("integer exponent",))
             self.toks.next()
             k = int(val)
+            if group and k == -1:
+                # "(x)^-1" is how word_format writes an Inverse node
+                return self._node((Inverse, id(atom)),
+                                  lambda: Inverse(self.n, atom))
             return self._node((Power, id(atom), k),
                               lambda: Power(self.n, atom, k))
         return atom

@@ -325,6 +325,20 @@ def test_search_delta_small_budget():
     assert lines[0]["hit"]["depth"] == 5
 
 
+@pytest.mark.parametrize("argv, golden", [
+    (["search", "--alpha", "--budget", "20000"], "search_alpha_budget_20000.out"),
+    (["search", "--delta", "--budget", "100"], "search_delta_budget_100.out"),
+])
+def test_search_stdout_matches_the_golden_file(argv, golden):
+    # the files hold the stdout of the one-prefix-at-a-time scan that the
+    # batched scan replaced: same hits, indices, words and counts, byte for
+    # byte
+    path = os.path.join(os.path.dirname(__file__), "data", golden)
+    with open(path, encoding="utf-8") as fh:
+        want = fh.read()
+    assert run_human(argv) == (0, want)
+
+
 def test_search_config_file(tmp_path):
     cfg = {"n": 5, "targetDepth": 2, "pool": ["A12", "A13"],
            "maxNesting": 1, "maxTerms": 1, "precision": 3}

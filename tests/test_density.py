@@ -256,9 +256,8 @@ def test_approximate_is_the_same_with_and_without_the_memo(monkeypatch):
     got = [_approximations(lib, (6, 5, 3)) for lib in libs]
     # a trusted library fills its memo on first use
     assert loaded._memo is not None
-    # the same steps either way; the words differ only where the parser
-    # read "(x)^-1" as a power
-    assert [r["perStep"] for r in got[0]] == [r["perStep"] for r in got[1]]
+    # the same answers either way, words included
+    assert got[0] == got[1]
     # the oracle: every word folded afresh, as without a memo
     monkeypatch.setattr(WitnessLibrary, "fold_memo", lambda self, p: {})
     assert [_approximations(lib, (6, 5, 3)) for lib in libs] == got
@@ -324,13 +323,22 @@ def test_interned_witnesses_format_as_their_text(n):
     data = json.loads(json.dumps(default_library(n, 6).to_json()))
     lib = WitnessLibrary.from_json(data, trust=True)
     words = [w.word for k in range(1, 7) for w in lib.witnesses(k)]
-    apart = [parse_word(w["word"], n) for k in range(1, 7)
-             for w in data["degrees"][str(k)]]
-    # the parser reads "(x)^-1" as a power, so a loaded word formats as
-    # its text parsed on its own, interned or not
-    assert [word_format(w) for w in words] == [word_format(w) for w in apart]
+    texts = [w["word"] for k in range(1, 7) for w in data["degrees"][str(k)]]
+    apart = [parse_word(text, n) for text in texts]
+    assert [word_format(w) for w in words] == texts
+    assert [word_format(w) for w in apart] == texts
     # the text repeats its subwords; the loaded words share them
     assert 5 * node_count(concat(*words)) < node_count(concat(*apart))
+
+
+def test_save_load_save_is_byte_identical(tmp_path):
+    # every "(x)^-1" in the file is read back as the Inverse it was written
+    # from, so the text survives a round trip
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    default_library(N, 6).save(str(first))
+    WitnessLibrary.load(str(first), trust=True).save(str(second))
+    assert "^-1" in first.read_text(encoding="utf-8")
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_witness_power_costs_no_products(monkeypatch):

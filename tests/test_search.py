@@ -292,7 +292,8 @@ _TABLE_CONFIGS = {
 def test_shared_memo_term_table_matches_each_term_alone(name):
     cfg = _TABLE_CONFIGS[name]
     words, arrays = search._term_table(cfg)
-    assert arrays[1].dtype == (object if "exact" in name else np.int64)
+    # float64 under the a-priori bound 2^53, where every product is exact
+    assert arrays[1].dtype == (object if "exact" in name else np.float64)
     for level, table in zip(words[1:], arrays[1:]):
         assert table.shape[1] == len(level)
         for t, w in enumerate(level):
@@ -379,13 +380,31 @@ _ORACLE_CONFIGS = {
 }
 
 
+def _record_products(monkeypatch) -> list:
+    """Patch both routes of the scan's products (the float64 block-Toeplitz
+    product and ``trunc_mul``) to record (dtype, stacks) of each."""
+    products = []
+    real_float, real_mul = search.toeplitz_mul, search.trunc_mul
+
+    def on_float(a, rhs):
+        out = real_float(a, rhs)
+        products.append((out.dtype, out.shape[1]))
+        return out
+
+    def on_mul(a, b):
+        out = real_mul(a, b)
+        products.append((b.dtype, out.shape[1]))
+        return out
+
+    monkeypatch.setattr(search, "toeplitz_mul", on_float)
+    monkeypatch.setattr(search, "trunc_mul", on_mul)
+    return products
+
+
 @pytest.mark.parametrize("name", list(_ORACLE_CONFIGS))
 def test_search_matches_the_one_by_one_reference(name, monkeypatch):
     cfg = _ORACLE_CONFIGS[name]
-    dtypes = set()
-    real = search.trunc_mul
-    monkeypatch.setattr(search, "trunc_mul",
-                        lambda a, b: dtypes.add(b.dtype) or real(a, b))
+    products = _record_products(monkeypatch)
     out = search_deep(cfg)
     ref = _reference_search(cfg)
     assert [(h.index, h.depth, h.leading, word_format(h.word))
@@ -393,9 +412,10 @@ def test_search_matches_the_one_by_one_reference(name, monkeypatch):
     assert (out.candidates, out.budget_exhausted) == (ref["candidates"],
                                                       ref["exhausted"])
     assert out.hits
-    # every batch, the two-slot blocks among them, ran on the dtype the
-    # pool needs
-    assert dtypes == {np.dtype(object if "exact" in name else np.int64)}
+    # every batch ran on the dtype the pool needs: float64 under the
+    # a-priori bound 2^53, Python ints beyond int64
+    assert {dtype for dtype, _ in products} == {
+        np.dtype(object if "exact" in name else np.float64)}
 
 
 @pytest.mark.parametrize("name", [k for k in _ORACLE_CONFIGS if "cut" in k])
@@ -481,9 +501,11 @@ def test_lying_scan_leaf_is_caught(word, monkeypatch):
 
 
 def test_lying_scan_product_is_caught(monkeypatch):
-    real = search.trunc_mul
-    monkeypatch.setattr(search, "trunc_mul",
-                        lambda a, b: _lying_stack(real(a, b)))
+    # this pool's tables are float64, so the scan multiplies through the
+    # block-Toeplitz product
+    real = search.toeplitz_mul
+    monkeypatch.setattr(search, "toeplitz_mul",
+                        lambda a, rhs: _lying_stack(real(a, rhs)))
     cfg = SearchConfig(5, 3, [pure_gen(5, 1, 2), pure_gen(5, 2, 3)],
                        max_nesting=0, max_terms=2, precision=4)
     with pytest.raises(AssertionError,
@@ -521,3 +543,97 @@ def test_alpha_shape_hit_indices_on_every_four_strand_subset(strands):
     out = search_deep(cfg)
     assert [h.index for h in out.hits] == [50, 4142, 4676]
     assert (out.candidates, out.budget_exhausted) == (5000, True)
+
+
+# ---------------------------------------------------------------------------
+# the batched scan: contract indices at every budget cut, and batch sizes
+
+
+def _unbudgeted(cfg: SearchConfig) -> SearchConfig:
+    return SearchConfig.from_json({**cfg.to_json(), "budget": None})
+
+
+# one per pool: "terms4-cut" is "terms4" with a budget
+_SWEEP_CONFIGS = {name: _unbudgeted(cfg)
+                  for name, cfg in _ORACLE_CONFIGS.items()
+                  if name != "terms4-cut"}
+
+
+@pytest.mark.parametrize("name", list(_SWEEP_CONFIGS))
+def test_every_budget_keeps_the_unbudgeted_hits_below_it(name, monkeypatch):
+    # a budget can end inside any slab of prefixes, so every cut up to 300
+    # and around the total is checked against the unbudgeted run.  The term
+    # table, the recheck's folds and the orbit keys do not depend on the
+    # budget, so they are shared across the runs
+    base = _SWEEP_CONFIGS[name]
+    table = search._term_table(base)
+    folded, keys = {}, {}
+    real_fold, real_key = search.fold, search.orbit_key
+    monkeypatch.setattr(search, "_term_table", lambda cfg: table)
+    monkeypatch.setattr(search, "fold", lambda w, leaf, one, product, memo:
+                        real_fold(w, leaf, one, product, folded))
+
+    def key(leading):
+        at = (leading.degree, leading.matrix.rows)
+        if at not in keys:
+            keys[at] = real_key(leading)
+        return keys[at]
+
+    monkeypatch.setattr(search, "orbit_key", key)
+    full = search_deep(base)
+    total = full.candidates
+    want = [(h.index, h.depth, h.leading) for h in full.hits]
+    for budget in sorted({*range(min(total, 300) + 2),
+                          total - 1, total, total + 1}):
+        cfg = SearchConfig.from_json({**base.to_json(), "budget": budget})
+        out = search_deep(cfg)
+        assert [(h.index, h.depth, h.leading) for h in out.hits] == [
+            hit for hit in want if hit[0] < budget]
+        assert out.candidates == min(budget, total)
+        assert out.budget_exhausted == (budget < total)
+
+
+def test_every_scan_product_fits_one_block(monkeypatch):
+    products = _record_products(monkeypatch)
+    out = search_deep(alpha_search_config(budget=20_000))
+    assert [h.index for h in out.hits] == [50, 4142, 4676]
+    stacks = [size for _, size in products]
+    assert max(stacks) <= search._BLOCK
+    # whole slabs of prefixes per product, not one prefix at a time: the
+    # products average more than half a block
+    assert out.candidates > len(stacks) * search._BLOCK / 2
+
+
+@pytest.mark.parametrize("block", [1, 5])
+def test_small_blocks_give_the_same_outcome(block, monkeypatch):
+    # a block narrower than a size's terms splits the terms into column
+    # slabs too; every product stays within it and nothing else changes
+    want = {name: search_deep(cfg).to_json()
+            for name, cfg in _ORACLE_CONFIGS.items()}
+    monkeypatch.setattr(search, "_BLOCK", block)
+    products = _record_products(monkeypatch)
+    for name, cfg in _ORACLE_CONFIGS.items():
+        assert search_deep(cfg).to_json() == want[name]
+    assert max(size for _, size in products) == block
+
+
+def test_counting_stops_where_the_budget_does():
+    # the first 500 candidates have total size at most 6, so at most 6
+    # terms: a config allowing 10^5 terms gives the same outcome, without
+    # counting its larger sizes
+    pool = [pure_gen(5, 1, 3), pure_gen(5, 2, 4)]
+    outs = [search_deep(SearchConfig(5, 3, pool, max_nesting=1, max_terms=m,
+                                     precision=4, budget=500)).to_json()
+            for m in (6, 10 ** 5)]
+    assert outs[0] == outs[1]
+    assert [h["index"] for h in outs[0]["hits"]] == [6, 60, 464]
+
+
+def test_more_candidates_than_an_index_can_hold_is_refused():
+    # 36^12 candidates: past 2^50 the int64 contract indices could wrap
+    cfg = SearchConfig(5, 3, alpha_search_config().pool, max_nesting=1,
+                       max_terms=12, precision=4)
+    with pytest.raises(ValueError, match=r"at most 2\^50"):
+        search_deep(cfg)
+    cfg.budget = 5000
+    assert search_deep(cfg).candidates == 5000

@@ -113,6 +113,37 @@ def test_parse_through_one_table_shares_repeated_subwords():
         "S1", 5, table=table)
 
 
+def test_format_of_a_parsed_format_is_unchanged():
+    # word_format writes an Inverse node as "(x)^-1"; the parser reads that
+    # back as an Inverse, not as a power -1 (which a single letter would
+    # print as "s4^-1"), so the text is a fixed point
+    rng = random.Random(305)
+    inverses = 0
+    for _ in range(60):
+        seen = set()
+        w = rand_dag(rng, 4, 3, seen)
+        inverses += "Inverse" in seen or "Inverse2" in seen
+        text = word_format(w)
+        again = parse_word(text, 4)
+        assert word_format(again) == text
+        assert eval_equal(w, again)
+    assert inverses > 10
+    assert word_format(parse_word("(s4)^-1", 5)) == "(s4)^-1"
+    assert isinstance(parse_word("(s1 S3)^-1", 5), Inverse)
+    # a bare atom's -1 and any other exponent stay powers
+    assert isinstance(parse_word("s1^-1", 5), Power)
+    assert isinstance(parse_word("(s1 S3)^-2", 5), Power)
+
+
+def test_inverse_has_its_own_intern_key():
+    table = {}
+    w = parse_word("(s1 S3)^-1 (s1 S3)^-1 (s1 S3)^-2", 5, table=table)
+    assert w.parts[0] is w.parts[1]
+    assert w.parts[0].child is w.parts[2].child
+    assert isinstance(w.parts[0], Inverse) and isinstance(w.parts[2], Power)
+    assert parse_word("(s1 S3)^-1", 5, table=table) is w.parts[0]
+
+
 # ---------------------------------------------------------------------------
 # constructors and group identities
 
