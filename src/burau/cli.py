@@ -151,8 +151,6 @@ def cmd_eval(args) -> int:
 def _input_matrix(args) -> LaurentMatrix:
     if args.matrix is not None:
         return _load_matrix(args.matrix)
-    if args.word is None:
-        raise UsageError("need --word or --matrix")
     return burau_eval(_parse(args.word, args.n, args.let))
 
 
@@ -175,8 +173,8 @@ _DEPTH_PROBE = 8
 
 def cmd_depth(args) -> int:
     if args.truncate is not None:
-        if args.word is None:
-            m = _input_matrix(args).truncate(args.truncate)
+        if args.matrix is not None:
+            m = _load_matrix(args.matrix).truncate(args.truncate)
         else:
             m = burau_eval_trunc(_parse(args.word, args.n, args.let),
                                  args.truncate)
@@ -185,15 +183,15 @@ def cmd_depth(args) -> int:
                    "note": f"at least; certified through s^{args.truncate - 1}"
                    if d == args.truncate else "exact"}
     else:
-        if args.matrix is None and args.word is not None:
+        if args.matrix is not None:
+            d = _load_matrix(args.matrix).depth()
+        else:
             # truncation is a ring homomorphism, so a depth below the
             # probe's precision is exact, whatever the word's exponents
             w = _parse(args.word, args.n, args.let)
             d = burau_eval_trunc(w, _DEPTH_PROBE).depth_bound()
             if d == _DEPTH_PROBE:
                 d = burau_eval(w).depth()
-        else:
-            d = _input_matrix(args).depth()
         payload = {"command": "depth",
                    "depth": "infinity" if d == math.inf else d}
     _emit(args, payload, f"depth {payload['depth']}")
@@ -201,10 +199,10 @@ def cmd_depth(args) -> int:
 
 
 def cmd_coeff(args) -> int:
-    if args.word is not None:
-        source: object = _parse(args.word, args.n, args.let)
+    if args.matrix is not None:
+        source: object = _load_matrix(args.matrix)
     else:
-        source = _input_matrix(args)
+        source = _parse(args.word, args.n, args.let)
     el = gamma_coeff(source, args.k)
     _emit(args, {"command": "coeff", "element": el.to_json()},
           f"degree {el.degree}\n{el.matrix}")
@@ -342,16 +340,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="render output for reading instead of JSON lines")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, matrix: bool = True):
+        """--n, --let and the operand: exactly one of --word and --matrix,
+        or --word alone when ``matrix`` is false."""
         sp.add_argument("--n", type=positive_int, default=5)
         sp.add_argument("--let", action="append", metavar="NAME=WORD",
                         help="bind NAME for use inside --word "
                         "(ALPHA and DELTA are built in)")
-        sp.add_argument("--word")
-        sp.add_argument("--matrix", help="JSON matrix file")
+        operand = sp.add_mutually_exclusive_group(required=True)
+        operand.add_argument("--word")
+        if matrix:
+            operand.add_argument("--matrix", help="JSON matrix file")
 
     sp = sub.add_parser("eval", help="image of a braid word")
-    common(sp)
+    common(sp, matrix=False)
     sp.add_argument("--truncate", type=positive_int, metavar="N",
                     help="work in the ring truncated at s^N")
     sp.set_defaults(fn=cmd_eval)

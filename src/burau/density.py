@@ -137,8 +137,7 @@ class WitnessLibrary:
     built from the degree below.  The library keeps one fold memo (see
     ``words.fold``) of their images mod s^(K+1), K = max_degree, so each
     shared node is folded once, and one HNF lattice per degree.  Both are
-    made from the finished lists; the library keeps every word alive, so
-    the memo's node ids stay valid.
+    made from the finished lists.
     """
 
     def __init__(self, n: int, max_degree: int,
@@ -174,9 +173,9 @@ class WitnessLibrary:
     def fold_memo(self, precision: int) -> dict:
         """A copy of the library's fold memo, truncated to precision
         <= K + 1, to fold words made of the library's words.  Nodes of
-        such a word enter only the copy, so no id of a node that dies
-        can reach the library's memo.  A library loaded with trust fills
-        its memo here, on first use."""
+        such a word enter only the copy, so the library's memo does not
+        keep them.  A library loaded with trust fills its memo here, on
+        first use."""
         if self._memo is None:
             memo: dict = {}
             self._fold(memo)
@@ -237,11 +236,11 @@ class WitnessLibrary:
                     continue
                 given = {}
                 if self._memo is not None and k < self.max_degree:
-                    low = self._memo[id(w.word), False].stack[:p - 1]
+                    low = self._memo[w.word, False].stack[:p - 1]
                     image = TruncMatrix(np.concatenate([low, 0 * low[:1]]))
                     if image.depth_bound() >= k:
-                        given = {(id(w.word), False): image,
-                                 (id(w.word), True): image.inverse()}
+                        given = {(w.word, False): image,
+                                 (w.word, True): image.inverse()}
                 m = burau_eval_trunc(commutator(shift, w.word), p, given)
                 diff = _coefficient(m, k + 2) - target
                 if not _two_g_lattice(self.n, k + 2).contains(diff.vec()):
@@ -383,7 +382,7 @@ def build_witness_library(n: int, max_degree: int) -> WitnessLibrary:
     inductors: dict[int, Witness] = {}
     dim = n * n
     # the raw inductors' images mod s^(K+1), through one fold memo as the
-    # library's; each raw inductor stays alive in the inductor built on it
+    # library's
     memo: dict = {}
 
     for k in range(1, max_degree + 1):

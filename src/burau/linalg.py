@@ -637,8 +637,7 @@ def trunc_mul_ints(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def trunc_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Every product in Z[s]/(s^p) of a stack of ``a`` (p, A, n, n) by one
     of ``b`` (p, B, n, n), precision first: (p, A * B, n, n), ``a``'s index
-    major.  The result has ``b``'s dtype: exact for object stacks of Python
-    ints, wrapping for int64, whose callers bound the entries first.
+    major.  Both sides and the result are object stacks of Python ints.
 
     Under the bound below, all p degrees are one matrix product.  The left
     side is the block row [a_0 ... a_(p-1)], rows (i, r) and columns
@@ -663,12 +662,9 @@ def trunc_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     except OverflowError:
         fits = False
     if not fits:
-        return trunc_mul_ints(a.astype(object, copy=False),
-                              b.astype(object, copy=False)).astype(
-                                  b.dtype, copy=False)
+        return trunc_mul_ints(a, b)
     # through int64: float64 to object would give Python floats
-    return toeplitz_mul(fa, toeplitz_operand(fb), np.int64).astype(
-        b.dtype, copy=False)
+    return toeplitz_mul(fa, toeplitz_operand(fb), np.int64).astype(object)
 
 
 def toeplitz_operand(b: np.ndarray) -> np.ndarray:

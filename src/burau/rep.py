@@ -198,8 +198,7 @@ def burau_eval_trunc(w: BraidWord, precision: int,
     Powers go through ``TruncMatrix.__pow__``: the image of a pure braid is
     unipotent there, so its power is a binomial series of a few products
     however large the exponent.  ``memo`` is the fold's: callers that
-    evaluate several words sharing nodes at one precision pass one dict,
-    and keep the words alive while it is in use.
+    evaluate several words sharing nodes at one precision pass one dict.
     """
     return fold(w, lambda letters: TruncMatrix(
                     _literal_stack(w.n, letters, precision)),

@@ -42,8 +42,8 @@ import numpy as np
 
 from .laurent import json_int
 from .liealg import GradedElement, orbit_key
-from .linalg import (TruncMatrix, toeplitz_mul, toeplitz_operand, trunc_depths,
-                     trunc_mul, trunc_mul_ints)
+from .linalg import (IntMatrix, TruncMatrix, toeplitz_mul, toeplitz_operand,
+                     trunc_depths, trunc_mul, trunc_mul_ints)
 from .rep import burau_eval_trunc, burau_gen
 from .words import BraidWord, commutator, concat, fold, parse_word, word_format
 
@@ -216,10 +216,10 @@ def _term_table(cfg: SearchConfig) -> tuple[list[list[BraidWord]],
     """The term words of each size, in contract order, and their
     coefficient stacks as one table (p, T, n, n) per size (None when a size
     has no term).  [L, R] is built from the word objects of L and R, and
-    every table is folded through one memo that ``words`` keeps alive, so a
-    commutator costs three products over its already-folded halves.  The
-    tables are float64 when an a-priori bound on every candidate product's
-    entries is below 2^53, int64 when it fits, and Python ints otherwise."""
+    every table is folded through one memo, so a commutator costs three
+    products over its already-folded halves.  The tables are float64 when
+    an a-priori bound on every candidate product's entries is below 2^53,
+    and Python ints otherwise."""
     built: dict[Tree, BraidWord] = {}
     words: list[list[BraidWord]] = []
     for level in _terms_by_size(cfg):
@@ -235,13 +235,11 @@ def _term_table(cfg: SearchConfig) -> tuple[list[list[BraidWord]],
     # most c has entries, and partial sums, of size at most c^m (n p)^(m-1)
     c = max(int(np.abs(a).max()) for a in arrays if a is not None)
     m = cfg.max_terms
-    bound = c ** m * (cfg.n * cfg.precision) ** (m - 1)
-    dtype = (np.float64 if bound < 1 << 53 else np.int64 if bound < 1 << 62
-             else object)
-    # through int64 where it fits: Python ints convert to float64 slowly
-    via = object if dtype is object else np.int64
-    return words, [a if a is None else a.astype(via).astype(dtype)
-                   for a in arrays]
+    if c ** m * (cfg.n * cfg.precision) ** (m - 1) < 1 << 53:
+        # through int64: Python ints convert to float64 slowly
+        arrays = [a if a is None else a.astype(np.int64).astype(np.float64)
+                  for a in arrays]
+    return words, arrays
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +339,9 @@ def search_deep(cfg: SearchConfig) -> SearchOutcome:
         return tuple(seq)
 
     # the recheck.  Each generator image is built once, on first use; one
-    # fold memo serves every term word (raw hits share them, and
-    # ``term_words`` keeps them alive), so each is folded once; the orbit
-    # key is computed once per leading coefficient.
+    # fold memo serves every term word (raw hits share them), so each is
+    # folded once; the leading element and its orbit key are made once per
+    # (depth, coefficient).
     @functools.cache
     def gen_image(i: int, sign: int) -> np.ndarray:
         return burau_gen(n, i, sign).truncate(precision).stack[:, None]
@@ -356,8 +354,12 @@ def search_deep(cfg: SearchConfig) -> SearchOutcome:
     def leaf(letters) -> np.ndarray:
         return product([gen_image(*x) for x in letters]) if letters else one
 
+    @functools.cache
+    def graded(depth: int, coeff: IntMatrix) -> tuple:
+        leading = GradedElement(depth, coeff)
+        return leading, orbit_key(leading)
+
     folded: dict = {}
-    keys: dict[tuple, tuple[int, ...]] = {}
     hits: list[SearchHit] = []
     seen: set[tuple[int, ...]] = set()
     for index, depth in sorted(np.concatenate(found, axis=1).T.tolist()):
@@ -366,11 +368,7 @@ def search_deep(cfg: SearchConfig) -> SearchOutcome:
                                      for w in seq])[:, 0])
         if image.depth_bound() != depth:
             raise AssertionError("recheck disagrees with the scan")
-        leading = GradedElement(depth, image.coefficient(depth))
-        memo = (depth, leading.matrix.rows)
-        if memo not in keys:
-            keys[memo] = orbit_key(leading)
-        key = keys[memo]
+        leading, key = graded(depth, image.coefficient(depth))
         if key in seen:
             continue
         seen.add(key)

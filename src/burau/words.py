@@ -117,7 +117,10 @@ def all_perms(n: int) -> list[Perm]:
 
 
 class BraidWord:
-    """Base class of word nodes; all nodes are immutable after construction."""
+    """Base class of word nodes; all nodes are immutable after construction.
+
+    A node is equal only to itself and hashes by identity, so a dict keyed
+    by nodes holds the nodes it keys."""
 
     __slots__ = ("n",)
 
@@ -140,21 +143,6 @@ class BraidWord:
     def inverse(self) -> "BraidWord":
         return Inverse(self.n, self)
 
-    # structural equality with cached hash; DAGs used in tests are small
-
-    def _key(self) -> tuple:
-        raise NotImplementedError
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if type(self) is not type(other):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({word_format(self) or 'empty'!r}, n={self.n})"
 
@@ -171,9 +159,6 @@ class Literal(BraidWord):
             if s not in (1, -1):
                 raise ValueError("generator sign must be +-1")
 
-    def _key(self) -> tuple:
-        return (self.n, self.letters)
-
 
 class Concat(BraidWord):
     __slots__ = ("parts",)
@@ -184,9 +169,6 @@ class Concat(BraidWord):
         for p in self.parts:
             self._check(p)
 
-    def _key(self) -> tuple:
-        return (self.n, self.parts)
-
 
 class Inverse(BraidWord):
     __slots__ = ("child",)
@@ -195,9 +177,6 @@ class Inverse(BraidWord):
         super().__init__(n)
         self._check(child)
         self.child = child
-
-    def _key(self) -> tuple:
-        return (self.n, self.child)
 
 
 class Power(BraidWord):
@@ -208,9 +187,6 @@ class Power(BraidWord):
         self._check(child)
         self.child = child
         self.exponent = int(exponent)
-
-    def _key(self) -> tuple:
-        return (self.n, self.child, self.exponent)
 
 
 class Commutator(BraidWord):
@@ -224,9 +200,6 @@ class Commutator(BraidWord):
         self._check(right)
         self.left = left
         self.right = right
-
-    def _key(self) -> tuple:
-        return (self.n, self.left, self.right)
 
 
 # -- constructors ------------------------------------------------------------
@@ -279,7 +252,7 @@ def _mul_all(values: list) -> object:
 
 def fold(w: BraidWord, leaf: Callable[[Letters], V], one: V,
          product: Callable[[list[V]], V] = _mul_all,
-         memo: dict[tuple[int, bool], V] | None = None,
+         memo: dict[tuple[BraidWord, bool], V] | None = None,
          power: Callable[[V, int], V] | None = None) -> V:
     """Evaluate w in a monoid, once per shared node and inverse flag.
 
@@ -292,8 +265,7 @@ def fold(w: BraidWord, leaf: Callable[[Letters], V], one: V,
     k = |exponent| >= 0; unless given, it squares and multiplies through
     ``product`` from the top bit of k.  Every node is folded, the child of
     a zero power too.  ``memo``, when given, receives the value of every
-    (id(node), inverse flag) folded; ``w`` keeps every node alive for the
-    walk, so no id is reused.
+    (node, inverse flag) folded.
     """
     memo = {} if memo is None else memo
     if power is None:
@@ -306,7 +278,7 @@ def fold(w: BraidWord, leaf: Callable[[Letters], V], one: V,
             return out
 
     def go(node: BraidWord, inv: bool) -> V:
-        key = (id(node), inv)
+        key = (node, inv)
         got = memo.get(key, _UNSEEN)
         if got is not _UNSEEN:
             return got
@@ -390,9 +362,9 @@ def flatten(w: BraidWord, cap: int | None = None) -> Letters:
 
 def node_count(w: BraidWord) -> int:
     """Number of distinct DAG nodes (shared subterms counted once)."""
-    memo: dict[tuple[int, bool], None] = {}
+    memo: dict[tuple[BraidWord, bool], None] = {}
     fold(w, lambda letters: None, None, lambda values: None, memo)
-    return len({node_id for node_id, _inv in memo})
+    return len({node for node, _inv in memo})
 
 
 def letter_bound(w: BraidWord) -> int:
@@ -509,8 +481,7 @@ class _Parser:
 
     def _node(self, key: tuple, make: Callable[[], BraidWord]) -> BraidWord:
         """make(), or with an intern table the node it holds under key:
-        the node type, then the children's identities and the letters or
-        exponent, which the table's nodes keep valid."""
+        the node type, then the child nodes and the letters or exponent."""
         if self.table is None:
             return make()
         key = (self.n, *key)
@@ -534,7 +505,7 @@ class _Parser:
             return self._node((Literal, ()), lambda: empty_word(self.n))
         if len(terms) == 1:
             return terms[0]
-        return self._node((Concat, *map(id, terms)),
+        return self._node((Concat, *terms),
                           lambda: Concat(self.n, terms))
 
     def term(self) -> BraidWord:
@@ -549,9 +520,9 @@ class _Parser:
             k = int(val)
             if group and k == -1:
                 # "(x)^-1" is how word_format writes an Inverse node
-                return self._node((Inverse, id(atom)),
+                return self._node((Inverse, atom),
                                   lambda: Inverse(self.n, atom))
-            return self._node((Power, id(atom), k),
+            return self._node((Power, atom, k),
                               lambda: Power(self.n, atom, k))
         return atom
 
@@ -578,7 +549,7 @@ class _Parser:
             self.toks.expect("comma", "','")
             right = self.word()
             self.toks.expect("rbrack", "']'")
-            return self._node((Commutator, id(left), id(right)),
+            return self._node((Commutator, left, right),
                               lambda: Commutator(self.n, left, right))
         if kind == "lparen":
             inner = self.word()

@@ -128,6 +128,30 @@ def test_check_needs_input():
     assert error_kind(err) == "UsageError"
 
 
+def test_eval_takes_a_word_and_no_matrix(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(burau_eval(gen(3, 1)).to_json()))
+    for argv in (["eval", "--n", "3"],
+                 ["eval", "--n", "3", "--matrix", str(path)]):
+        code, lines, err = run(argv)
+        assert (code, lines) == (2, [])
+        assert error_kind(err) == "UsageError"
+        assert "--word" in err or "--matrix" in err
+
+
+def test_word_and_matrix_together_are_a_usage_error(tmp_path):
+    # the matrix is the image of A12 (depth 1), the word s1 (depth 0): no
+    # command may read one and ignore the other
+    path = tmp_path / "a12.json"
+    path.write_text(json.dumps(burau_eval(parse_word("A12", 5)).to_json()))
+    for argv in (["check"], ["depth"], ["depth", "--truncate", "4"],
+                 ["coeff", "--k", "1"], ["expand", "--precision", "2"]):
+        code, lines, err = run([*argv, "--word", "s1", "--matrix", str(path)])
+        assert (code, lines) == (2, [])
+        assert error_kind(err) == "UsageError"
+        assert "not allowed with" in err
+
+
 def test_depth_delta():
     code, lines, _ = run(["depth", "--word", "DELTA"])
     assert code == 0

@@ -213,7 +213,7 @@ def test_memo_images_match_fresh_evaluation(n):
     for k in range(1, 7):
         for w in lib.witnesses(k):
             fresh = burau_eval_trunc(w.word, k + 1)
-            shared = memo[id(w.word), False]
+            shared = memo[w.word, False]
             assert TruncMatrix(shared.stack[:k + 1]) == fresh
             assert fresh.coefficient(k) == w.element.matrix
 

@@ -343,7 +343,7 @@ def test_trunc_kernel_is_exact_far_above_int64():
         assert deep.depth_bound() == depth
 
 
-@pytest.mark.parametrize("bits, dtype", [(100, object), (8, np.int64)])
+@pytest.mark.parametrize("bits, dtype", [(100, object), (8, object)])
 def test_batched_trunc_mul_is_every_pair_product_a_major(bits, dtype):
     rng = random.Random(210)
     n, p = 4, 5
@@ -362,11 +362,10 @@ def test_batched_trunc_mul_is_every_pair_product_a_major(bits, dtype):
             assert out.shape == (p, na * nb, n, n) and out.dtype == dtype
             for i in range(na):
                 for j in range(nb):
-                    left = TruncMatrix(a[:, i].astype(object))
-                    right = TruncMatrix(b[:, j].astype(object))
-                    got = TruncMatrix(out[:, i * nb + j].astype(object))
-                    assert got.rows == _grid_product(left, right)
-            if dtype is object:
+                    got = TruncMatrix(out[:, i * nb + j])
+                    assert got.rows == _grid_product(TruncMatrix(a[:, i]),
+                                                     TruncMatrix(b[:, j]))
+            if bits == 100:
                 assert max(abs(v) for v in out.ravel()) > 1 << 200
 
 
@@ -375,16 +374,15 @@ _UNDER = (1 << 62) // (3 * _N * _P) - 1
 
 
 @pytest.mark.parametrize("a_max, b_max", [
-    (_UNDER, 3),                    # just under the bound: int64
-    (_UNDER + 2, 3),                # just over it: Python ints
+    (_UNDER, 3),                    # just under 2^62 in all
+    (_UNDER + 2, 3),                # just over it
     ((1 << 31) - 1, (1 << 31) - 1),  # each product fits, p n of them do not
     (1 << 40, 1 << 40),             # each product would wrap
 ])
-def test_object_trunc_mul_is_exact_on_both_sides_of_the_int64_bound(
-        a_max, b_max):
-    # object operands run in int64 when max|a| max|b| n p < 2^62; with every
-    # entry at its largest size and one sign, degree p - 1 sums all p n
-    # products, so a bound without the p n factor would wrap
+def test_object_trunc_mul_is_exact_where_int64_would_wrap(a_max, b_max):
+    # max|a| max|b| n p is past 2^53, so the products run on Python ints;
+    # with every entry at its largest size and one sign, degree p - 1 sums
+    # all p n products, which int64 arithmetic would wrap near 2^62
     rng = random.Random(211)
     for signed in (False, True):
         def stack(size):
@@ -428,7 +426,6 @@ _UNDER53 = (1 << 53) // (3 * _N53 * _P53) - 1
     (_UNDER53 + 2, 3, object, object),          # just over it
     ((1 << 26) + 1, (1 << 26) + 1, object, object),  # p n products do not fit
     ((1 << 1100) + 1, 3, object, object),       # beyond float range
-    ((1 << 40) + 1, (1 << 13) + 1, np.int64, object),  # over 2^53, int64 out
 ])
 def test_trunc_mul_is_exact_on_both_sides_of_the_float64_bound(
         a_max, b_max, dtype, ran_in):
@@ -455,9 +452,8 @@ def test_trunc_mul_is_exact_on_both_sides_of_the_float64_bound(
             assert _MatmulDtypes.seen
             assert set(_MatmulDtypes.seen) == {np.dtype(object)}
         assert out.shape == (_P53, 1, _N53, _N53) and out.dtype == dtype
-        if dtype is object:
-            assert all(type(x) is int for x in out.ravel())
-        got = TruncMatrix(out[:, 0].astype(object))
+        assert all(type(x) is int for x in out.ravel())
+        got = TruncMatrix(out[:, 0])
         assert got.rows == _grid_product(TruncMatrix(a[:, 0]),
                                          TruncMatrix(b[:, 0]))
         if not signed:
@@ -501,7 +497,7 @@ def test_trunc_depths_reads_each_stack_of_a_batch():
     full_below[p - 1, 2, 2] = -1
     mats, depths = (ident, head, middle, full_below), [p, 0, 2, p - 1]
     stacks = np.stack(mats, axis=1)
-    for dtype in (object, np.int64):
+    for dtype in (object, np.float64):
         assert trunc_depths(stacks.astype(dtype)).tolist() == depths
     assert [TruncMatrix(m).depth_bound() for m in mats] == depths
 

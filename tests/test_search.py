@@ -447,7 +447,7 @@ def test_each_term_is_folded_once_per_search(monkeypatch):
     def recording(w, leaf, one, product, memo):
         before = len(memo)
         out = real(w, leaf, one, product, memo)
-        calls.append((id(w), id(memo), len(memo) > before))
+        calls.append((w, id(memo), len(memo) > before))
         return out
 
     monkeypatch.setattr(search, "fold", recording)
@@ -469,6 +469,34 @@ def test_orbit_key_runs_once_per_leading_coefficient(monkeypatch):
                         or real(a))
     out = search_deep(alpha_search_config(budget=20_000))
     assert len(keyed) == len(set(keyed)) >= len(out.hits) == 3
+
+
+def test_leading_element_is_made_once_per_coefficient(monkeypatch):
+    # every raw hit gets its depth recheck, but the leading element, whose
+    # constructor checks membership in G_k, is made once per distinct
+    # (depth, coefficient): 68 raw hits carry 28 of them
+    made, rechecked = [], []
+
+    class Element(GradedElement):
+        __slots__ = ()
+
+        def __init__(self, degree, matrix):
+            made.append((degree, matrix))
+            super().__init__(degree, matrix)
+
+    class Image(TruncMatrix):
+        __slots__ = ()
+
+        def depth_bound(self):
+            rechecked.append(self)
+            return super().depth_bound()
+
+    monkeypatch.setattr(search, "GradedElement", Element)
+    monkeypatch.setattr(search, "TruncMatrix", Image)
+    out = search_deep(alpha_search_config(budget=20_000))
+    assert [h.index for h in out.hits] == [50, 4142, 4676]
+    assert len(rechecked) == 68
+    assert len(made) == len(set(made)) == 28
 
 
 # ---------------------------------------------------------------------------

@@ -290,6 +290,35 @@ def test_node_and_letter_counts():
 
 
 # ---------------------------------------------------------------------------
+# node identity
+
+
+def test_one_memo_outlives_the_words_folded_through_it():
+    # the memo holds the nodes it keys, so a node made after an earlier
+    # word is dropped never reads that word's image
+    rng = random.Random(311)
+    memo: dict = {}
+    for _ in range(2000):
+        w = rand_dag(rng, 4, 2, set())
+        assert burau_eval_trunc(w, 3, memo) == burau_eval_trunc(w, 3)
+        del w
+
+
+def test_nodes_hash_and_compare_by_identity_at_once():
+    # 22 rounds of x, y = [x, y], [y, x] give a 45-node DAG of 4^22
+    # letters, which a structural hash or == would walk exponentially
+    x, y = gen(3, 1), gen(3, 2)
+    for _ in range(22):
+        x, y = commutator(x, y), commutator(y, x)
+    twin = commutator(x.left, x.right)  # built alike, another node
+    assert node_count(x) == node_count(twin) == 45
+    t0 = time.perf_counter()
+    assert hash(x) == hash(x) and x == x
+    assert x != twin and twin not in {x: None}
+    assert time.perf_counter() - t0 < 0.1
+
+
+# ---------------------------------------------------------------------------
 # pure-braid generators
 
 
