@@ -22,6 +22,13 @@ X_24 - X_25.  The induction step's raw output only has that coefficient
 modulo 2 G_k; the build normalizes it by dividing out a solve of the even
 part before storing.
 
+Every solve over witness coefficients starts from the HNF solution and
+shortens it by Babai's nearest plane against the LLL-reduced lattice of
+relations among the witnesses (``IntLattice.shorten``), so exponents stay
+small and words short.  The build's normalizing solve moves only by twice
+a relation: that keeps the solution mod 2, on which the next induction
+step's congruence rests.
+
 The build keeps candidates by their predicted coefficients until they span
 G_k (HNF rank against the closed-form basis); a miss raises SpanFailure,
 which for n < 5 is expected (the orbit of X_24 - X_13 is too small) and
@@ -107,7 +114,7 @@ class Witness:
         return Witness(parse_word(data["word"], n, table=table), element)
 
     def __repr__(self) -> str:
-        return f"Witness(degree={self.degree}, word={word_format(self.word)!r})"
+        return f"Witness(degree={self.degree}, word={self.word!r})"
 
 
 def _a25sq_a45(n: int) -> BraidWord:
@@ -399,7 +406,6 @@ def build_witness_library(n: int, max_degree: int) -> WitnessLibrary:
 
         target = g_lattice(n, k)
         chosen: list[Witness] = []
-        vecs: list[tuple[int, ...]] = []
         span = IntLattice(dim, [])
         for pred, word in _degree_candidates(n, k, per_degree, inductors,
                                              raw_inductor):
@@ -408,8 +414,9 @@ def build_witness_library(n: int, max_degree: int) -> WitnessLibrary:
             if pred.is_zero() or span.contains(pred.vec()):
                 continue
             chosen.append(Witness(word, GradedElement(k, pred)))
-            vecs.append(pred.vec())
-            span = IntLattice(dim, vecs)
+            # the HNF is canonical: extending the current one by a row
+            # spans what every accepted vector spans
+            span = IntLattice(dim, [*span.hnf, pred.vec()])
         if span != target:
             raise SpanFailure(k)
         per_degree[k] = chosen
@@ -419,8 +426,8 @@ def build_witness_library(n: int, max_degree: int) -> WitnessLibrary:
                 word = commutator(alpha_word(n), gen(n, 4))
             else:
                 diff = raw_inductor.element.matrix - _induction_target(n)
-                corr = solve_in_degree(WitnessLibrary(n, k, per_degree, {}),
-                                       GradedElement(k, diff))
+                corr = _solve(WitnessLibrary(n, k, per_degree, {}), k, diff,
+                              scale=2)[1]
                 word = concat(raw_inductor.word, corr.inverse())
             inductors[k] = Witness(word, GradedElement(k, _induction_target(n)))
             per_degree[k].append(inductors[k])
@@ -440,13 +447,20 @@ def default_library(n: int, max_degree: int) -> WitnessLibrary:
     return _LIBRARY_CACHE[key]
 
 
-def _solve(lib: WitnessLibrary, k: int,
-           target: IntMatrix) -> tuple[list[int], BraidWord]:
-    """The canonical HNF solution over the degree-k witness coefficients,
-    and the product of witness powers it gives."""
-    coeffs = lib.coefficient_lattice(k).solve(target.vec())
+def _solve(lib: WitnessLibrary, k: int, target: IntMatrix,
+           scale: int = 1) -> tuple[list[int], BraidWord]:
+    """A short solution over the degree-k witness coefficients, and the
+    product of witness powers it gives.
+
+    The HNF solution, less the multiple of ``scale`` times a relation
+    among the witnesses that Babai's nearest plane picks against the
+    LLL-reduced relation lattice; with scale = 2 the result keeps the HNF
+    solution's parity."""
+    lattice = lib.coefficient_lattice(k)
+    coeffs = lattice.solve(target.vec())
     if coeffs is None:
         raise NoSolution(f"target is not in the degree-{k} coefficient lattice")
+    coeffs = lattice.shorten(coeffs, scale)
     parts = [w.word if c == 1 else Power(lib.n, w.word, c)
              for c, w in zip(coeffs, lib.witnesses(k)) if c != 0]
     return coeffs, concat(*parts) if parts else empty_word(lib.n)
@@ -455,8 +469,9 @@ def _solve(lib: WitnessLibrary, k: int,
 def solve_in_degree(lib: WitnessLibrary, t: GradedElement) -> BraidWord:
     """A braid word of depth >= k whose degree-k coefficient is t.
 
-    Returns the product of witness powers for the canonical HNF solution.
-    Valid because coefficients add under products of depth->=k elements.
+    Returns the product of witness powers for the HNF solution shortened
+    against the relations among the witnesses (see ``_solve``).  Valid
+    because coefficients add under products of depth->=k elements.
     """
     if t.n != lib.n:
         raise ValueError("size mismatch between target and library")

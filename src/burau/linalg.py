@@ -882,15 +882,88 @@ def row_hnf(rows: Sequence[Sequence[int]]):
     return h, u, pivots
 
 
+def _dot(x: Sequence[int], y: Sequence[int]) -> int:
+    return sum(map(operator.mul, x, y))
+
+
+def _round_half_up(num: int, den: int) -> int:
+    """The integer nearest num / den, den > 0; a half rounds up."""
+    return (2 * num + den) // (2 * den)
+
+
+def lll_reduce(basis: Sequence[Sequence[int]]):
+    """LLL-reduce linearly independent integer vectors, delta = 3/4.
+
+    Exact integer arithmetic throughout (Cohen, GTM 138, Alg. 2.6.7): no
+    Gram-Schmidt vector is formed.  Returns (b, d, lam): the reduced basis
+    b; d[0] = 1 and d[i] the Gram determinant of b[0..i-1]; and
+    lam[k][j] = d[j+1] mu_kj for j < k, mu being the Gram-Schmidt
+    coefficients of b.  Size reduction rounds a half up, so the result is
+    a function of the input order.
+    """
+    b = [list(map(int, v)) for v in basis]
+    m = len(b)
+    d = [1] * (m + 1)
+    lam = [[0] * m for _ in range(m)]
+    if not m:
+        return b, d, lam
+    d[1] = _dot(b[0], b[0])
+
+    def redi(k: int, l: int) -> None:
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            q = _round_half_up(lam[k][l], d[l + 1])
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    def swapi(k: int, kmax: int) -> None:
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        lk = lam[k][k - 1]
+        new = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+            lam[i][k - 1] = (new * t + lk * lam[i][k]) // d[k + 1]
+        d[k] = new
+
+    k, kmax = 1, 0
+    while k < m:
+        if k > kmax:  # incremental Gram-Schmidt of b[k]
+            kmax = k
+            for j in range(k + 1):
+                u = _dot(b[k], b[j])
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                elif u == 0:
+                    raise ValueError("LLL input is linearly dependent")
+                else:
+                    d[k + 1] = u
+        redi(k, k - 1)
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
+            swapi(k, kmax)
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                redi(k, l)
+            k += 1
+    return b, d, lam
+
+
 class IntLattice:
     """The sublattice of Z^d spanned by a list of integer vectors.
 
     Keeps the original generators (for expressing solutions in their terms),
     the canonical HNF basis (for membership and equality), and the
-    transformation matrix (for kernels).
+    transformation matrix (for kernels).  The LLL reduction of the kernel,
+    which shortens solutions, is made on first use and kept.
     """
 
-    __slots__ = ("dim", "gens", "hnf", "transform", "pivots")
+    __slots__ = ("dim", "gens", "hnf", "transform", "pivots", "_reduced")
 
     def __init__(self, dim: int, generators: Iterable[Sequence[int]]):
         self.dim = dim
@@ -902,6 +975,7 @@ class IntLattice:
         self.hnf = [tuple(row) for row in h[:len(pivots)]]
         self.transform = u
         self.pivots = pivots
+        self._reduced = None
 
     @property
     def rank(self) -> int:
@@ -951,6 +1025,39 @@ class IntLattice:
     def kernel_basis(self) -> list[tuple[int, ...]]:
         """Basis of all integer relations among the original generators."""
         return [tuple(self.transform[i]) for i in range(self.rank, len(self.gens))]
+
+    def reduced_kernel(self):
+        """``lll_reduce`` of ``kernel_basis()``, (b, d, lam): the same
+        lattice of relations on a short basis b; computed once."""
+        if self._reduced is None:
+            self._reduced = lll_reduce(self.kernel_basis())
+        return self._reduced
+
+    def shorten(self, x: Sequence[int], scale: int = 1) -> list[int]:
+        """x minus the vector of scale * (relation lattice) that Babai's
+        nearest plane picks against the reduced kernel: what is left has
+        every Gram-Schmidt coefficient in [-scale/2, scale/2).  The
+        generators combine x and the result to the same vector; the result
+        is also congruent to x mod scale.
+
+        Reads x's coefficients from the reduction's integer Gram-Schmidt
+        data (exact divisions, as in the reduction), then clears them from
+        the top basis vector down, each rounded half up."""
+        b, d, lam = self.reduced_kernel()
+        lx: list[int] = []
+        for j, bj in enumerate(b):
+            u = _dot(x, bj)
+            for i in range(j):
+                u = (d[i + 1] * u - lam[j][i] * lx[i]) // d[i]
+            lx.append(u)
+        out = list(map(int, x))
+        for j in range(len(b) - 1, -1, -1):
+            q = scale * _round_half_up(lx[j], scale * d[j + 1])
+            if q:
+                out = [a - q * c for a, c in zip(out, b[j])]
+                for i in range(j):
+                    lx[i] -= q * lam[j][i]
+        return out
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, IntLattice)

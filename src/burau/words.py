@@ -144,7 +144,9 @@ class BraidWord:
         return Inverse(self.n, self)
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({word_format(self) or 'empty'!r}, n={self.n})"
+        # the text of a shared DAG can be exponential in its size; the node
+        # count is linear
+        return f"{type(self).__name__}(n={self.n}, nodes={node_count(self)})"
 
 
 class Literal(BraidWord):

@@ -8,20 +8,22 @@ independently in the Lie algebra tests.
 
 import json
 import math
+import random
 
 import pytest
 
 from burau import density, laurent, linalg
+from burau.checks import random_word
 from burau.density import (LibraryIntegrityError, NoSolution, NotInGamma,
                            SpanFailure, WitnessLibrary, approximate,
                            build_witness_library, default_library,
                            solve_in_degree)
-from burau.liealg import GradedElement, g_lattice, gen_x
+from burau.liealg import GradedElement, g_basis, g_lattice, gen_x
 from burau.linalg import IntMatrix, LaurentMatrix, TruncMatrix, perm_matrix
 from burau.rep import burau_eval, burau_eval_trunc, burau_gamma, gamma_coeff
 from burau.words import (Power, alpha_word, commutator, concat, delta_word,
-                         flatten, gen, node_count, parse_word, pure_gen,
-                         word_format)
+                         flatten, gen, letter_bound, node_count, parse_word,
+                         pure_gen, word_format)
 
 N = 5
 
@@ -415,6 +417,71 @@ def test_solve_size_mismatch():
     lib = default_library(N, 3)
     with pytest.raises(ValueError):
         solve_in_degree(lib, gen_x(1, 2, 6))
+
+
+# ---------------------------------------------------------------------------
+# short solutions
+
+
+@pytest.mark.parametrize("scale", [1, 2])
+def test_solve_moves_the_hnf_solution_by_a_scaled_relation(scale):
+    lib = default_library(N, 6)
+    rng = random.Random(5006 + scale)
+    for k in (5, 6):
+        lattice = lib.coefficient_lattice(k)
+        basis = g_basis(N, k)
+        t = sum((rng.randrange(-1, 2) * b.matrix for b in basis),
+                IntMatrix.zero(N))
+        hnf = lattice.solve(t.vec())  # the oracle
+        coeffs, word = density._solve(lib, k, t, scale)
+        step = [a - c for a, c in zip(hnf, coeffs)]
+        assert all(c % scale == 0 for c in step)
+        assert lattice.kernel_basis() and not any(
+            sum(c * g[col] for c, g in zip(step, lattice.gens))
+            for col in range(N * N))
+        assert max(map(abs, coeffs)) < max(map(abs, hnf))
+        image = burau_eval_trunc(word, k + 1)
+        assert image.depth_bound() >= k and image.coefficient(k) == t
+
+
+@pytest.mark.parametrize("n, k", [(5, 6), (6, 6), (7, 5)])
+def test_libraries_with_short_corrections_verify(n, k):
+    lib = WitnessLibrary.from_json(
+        json.loads(json.dumps(default_library(n, k).to_json())))
+    lib.verify_induction()
+
+
+def test_build_corrections_keep_their_parity(monkeypatch):
+    # the degree-5 inductor's correction moves by twice a relation; one
+    # relation would break the congruence that degree 7 would rest on
+    real = density._solve
+    monkeypatch.setattr(density, "_solve",
+                        lambda lib, k, t, scale=1: real(lib, k, t))
+    with pytest.raises(LibraryIntegrityError, match="induction from degree 5"):
+        build_witness_library(N, 6)
+
+
+def test_two_builds_are_identical():
+    assert build_witness_library(N, 6).to_json() == \
+        build_witness_library(N, 6).to_json()
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_degree_five_inductor_is_short(n):
+    # 7.9e13 letters at n = 5 and 2.6e23 at n = 6 from the HNF solution
+    assert letter_bound(default_library(n, 6).inductors[5].word) < 10 ** 6
+
+
+def test_step_coefficients_stay_small_at_n6():
+    # up to 149-bit coefficients from the HNF solution
+    lib = default_library(6, 6)
+    rng = random.Random(6006)
+    for _ in range(3):
+        w = random_word(rng, 6, 15)
+        res = approximate(burau_eval(w), library=lib, exact_check=False)
+        assert max(abs(c) for st in res.steps[1:]
+                   for c in st.coefficients) <= 10 ** 3
+        assert res.achieved_depth >= 7
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ import pytest
 from burau.laurent import S, LaurentPoly, T, T_INV, TruncSeries
 from burau.linalg import (_FLOAT_SPAN, IntLattice, IntMatrix, LaurentMatrix,
                           NonUnitDeterminant, RatMatrix, SquareMatrix,
-                          TruncMatrix, _kronecker_product, matrix_lattice,
-                          perm_matrix, row_hnf, stack_mul, trunc_depths,
+                          TruncMatrix, _kronecker_product, lll_reduce,
+                          matrix_lattice, perm_matrix, row_hnf, stack_mul, trunc_depths,
                           trunc_mul, trunc_mul_ints)
 from burau.liealg import g_basis, gen_x, gen_y
 from burau.rep import burau_eval, burau_eval_trunc, burau_gen, form_j
@@ -782,6 +782,95 @@ def test_lattice_solve_none_when_index_misses():
     lat = IntLattice(2, [(2, 0)])
     assert lat.solve((1, 0)) is None
     assert lat.solve((6, 0)) == [3]
+
+
+def _gram_schmidt(basis):
+    """Fraction Gram-Schmidt: the oracle for the integer data of LLL."""
+    stars, mus = [], []
+    for v in basis:
+        w = [Fraction(a) for a in v]
+        row = []
+        for u in stars:
+            mu = sum(a * c for a, c in zip(v, u)) / sum(c * c for c in u)
+            w = [a - mu * c for a, c in zip(w, u)]
+            row.append(mu)
+        stars.append(w)
+        mus.append(row)
+    return stars, mus
+
+
+def _random_lattice(rng):
+    m, dim = rng.randrange(2, 10), rng.randrange(1, 6)
+    return IntLattice(dim, [[rng.randrange(-6, 7) for _ in range(dim)]
+                            for _ in range(m)])
+
+
+def test_lll_reduces_the_kernel_to_a_basis_of_it():
+    rng = random.Random(2167)
+    for _ in range(200):
+        lat = _random_lattice(rng)
+        kernel = lat.kernel_basis()
+        b, d, lam = lat.reduced_kernel()
+        assert lat.reduced_kernel() is lat.reduced_kernel()  # made once
+        m = len(lat.gens)
+        assert IntLattice(m, b) == IntLattice(m, kernel)
+        stars, mus = _gram_schmidt(b)
+        norms = [sum(c * c for c in u) for u in stars]
+        for k in range(len(b)):
+            assert d[k + 1] == math.prod(norms[:k + 1])
+            assert [Fraction(x, d[j + 1]) for j, x in enumerate(lam[k][:k])] \
+                == mus[k]
+            assert all(abs(mu) <= Fraction(1, 2) for mu in mus[k])
+            if k:  # Lovasz, delta = 3/4
+                assert norms[k] >= (Fraction(3, 4) - mus[k][k - 1] ** 2) \
+                    * norms[k - 1]
+
+
+@pytest.mark.parametrize("scale", [1, 2])
+def test_nearest_plane_moves_a_solution_by_a_scaled_relation(scale):
+    rng = random.Random(2168 + scale)
+    for _ in range(200):
+        lat = _random_lattice(rng)
+        m = len(lat.gens)
+        x = [rng.randrange(-10 ** 6, 10 ** 6) for _ in range(m)]
+        y = lat.shorten(x, scale)
+        step = [a - c for a, c in zip(x, y)]
+        assert all(c % scale == 0 for c in step)
+        kernel = lat.kernel_basis()
+        assert IntLattice(m, kernel + [[c // scale for c in step]]) \
+            == IntLattice(m, kernel)
+        for col in range(lat.dim):  # the generators' combination is kept
+            assert sum(a * g[col] for a, g in zip(y, lat.gens)) \
+                == sum(a * g[col] for a, g in zip(x, lat.gens))
+        b = lat.reduced_kernel()[0]
+        for u in _gram_schmidt(b)[0]:  # what is left is nearest
+            mu = sum(a * c for a, c in zip(y, u)) / sum(c * c for c in u)
+            assert -Fraction(scale, 2) <= mu < Fraction(scale, 2)
+
+
+def test_shortened_solutions_against_the_hnf_oracle():
+    # the HNF solution stays the reference: the shortened one combines the
+    # generators to the same target, and differs from it by a relation
+    gens = [gen_x(1, 2, 4).matrix, gen_x(3, 4, 4).matrix,
+            gen_x(1, 2, 4).matrix + gen_x(3, 4, 4).matrix,
+            3 * gen_x(1, 2, 4).matrix]
+    lat = matrix_lattice(gens)
+    target = (7 * gens[0] - 4 * gens[1]).vec()
+    hnf = lat.solve(target)
+    short = lat.shorten(hnf)
+    rebuilt = IntMatrix.zero(4)
+    for c, g in zip(short, gens):
+        rebuilt = rebuilt + c * g
+    assert rebuilt.vec() == target
+    assert lat.shorten(short) == short
+    assert sum(c * c for c in short) < sum(c * c for c in hnf)
+
+
+def test_lll_of_no_vectors_and_of_dependent_ones():
+    assert lll_reduce([]) == ([], [1], [])
+    assert IntLattice(2, [(1, 0), (0, 1)]).shorten([5, -3]) == [5, -3]
+    with pytest.raises(ValueError):
+        lll_reduce([(1, 2), (2, 4)])
 
 
 # ---------------------------------------------------------------------------

@@ -318,6 +318,17 @@ def test_nodes_hash_and_compare_by_identity_at_once():
     assert time.perf_counter() - t0 < 0.1
 
 
+def test_repr_names_the_node_not_its_text():
+    # the text of that 45-node DAG has 20 971 536 characters
+    x, y = gen(3, 1), gen(3, 2)
+    for _ in range(22):
+        x, y = commutator(x, y), commutator(y, x)
+    t0 = time.perf_counter()
+    assert repr(x) == "Commutator(n=3, nodes=45)"
+    assert time.perf_counter() - t0 < 0.1
+    assert repr(empty_word(4)) == "Literal(n=4, nodes=1)"
+
+
 # ---------------------------------------------------------------------------
 # pure-braid generators
 
