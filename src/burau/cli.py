@@ -26,6 +26,7 @@ from .density import (MAX_DEGREE, MAX_N, MIN_N, DepthRegression,
                       SpanFailure, WitnessLibrary, approximate,
                       build_witness_library)
 from .liealg import GradedElement, g_bracket
+from .laurent import json_int
 from .linalg import LaurentMatrix
 from .rep import (DepthTooSmall, burau_eval, burau_eval_trunc, gamma_check,
                   gamma_coeff)
@@ -263,6 +264,12 @@ def cmd_approximate(args) -> int:
     library = None
     if args.library is not None:
         library = _load_library(args.library, args.trust)
+        if library.n != matrix.n:
+            raise UsageError(f"{args.library} is a library for {library.n} "
+                             f"strands, and --gamma has {matrix.n}")
+        if args.k > library.max_degree:
+            raise UsageError(f"--k {args.k} exceeds the degree "
+                             f"{library.max_degree} of {args.library}")
     else:
         _supported("--k", args.k, MAX_DEGREE)
         _supported("--gamma strand count", matrix.n, MAX_N, MIN_N)
@@ -282,10 +289,14 @@ def cmd_search(args) -> int:
     elif args.delta:
         cfg = delta_search_config()
     else:
-        bindings = _bindings(args.n, args.let)
+        data = _load_json(args.config)
+        n = _decode(args.config, lambda data: json_int(data["n"], name="n"),
+                    data)
+        if n < 1:
+            raise UsageError(f"{args.config}: n must be at least 1, got {n}")
+        bindings = _bindings(n, args.let)
         cfg = _decode(args.config,
-                      lambda data: SearchConfig.from_json(data, bindings),
-                      _load_json(args.config))
+                      lambda data: SearchConfig.from_json(data, bindings), data)
     if args.budget is not None:
         cfg.budget = args.budget
     out = search_deep(cfg)
@@ -397,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_approximate)
 
     sp = sub.add_parser("search", help="bounded commutator search")
-    sp.add_argument("--n", type=positive_int, default=5)
     sp.add_argument("--let", action="append", metavar="NAME=WORD")
     mode = sp.add_mutually_exclusive_group(required=True)
     mode.add_argument("--config", help="JSON config file")

@@ -223,10 +223,11 @@ class WitnessLibrary:
         self.verify_induction()
 
     def verify_induction(self) -> None:
-        """Check the odd-degree step on every stored word it could consume:
-        bracketing A_25^2 A_45 against a depth-k word with coefficient
-        X_24 - X_25 must land on X_24 - X_25 modulo 2 G_{k+2}.  The
-        inductors are listed among their degree's witnesses.
+        """Check the odd-degree step, in each odd degree 3 <= k <= K, on
+        every stored word it could consume: bracketing A_25^2 A_45 against
+        a depth-k word with coefficient X_24 - X_25 must land on
+        X_24 - X_25 modulo 2 G_{k+2}.  The inductors are listed among their
+        degree's witnesses.
 
         With S = A_25^2 A_45 = I + O(s) and W = I + O(s^k),
         [S, W] = I + (SW - WS) S^-1 W^-1 and SW - WS = O(s^(k+1)) is
@@ -236,7 +237,7 @@ class WitnessLibrary:
         the bracket as it, with a zero s^(k+2) coefficient."""
         target = _induction_target(self.n)
         shift = _a25sq_a45(self.n)
-        for k in (3, 5):
+        for k in range(3, self.max_degree + 1, 2):
             p = k + 3
             for w in self.per_degree.get(k, ()):
                 if w.element.matrix != target:

@@ -562,8 +562,9 @@ def trim_stack(low: int, stack: np.ndarray) -> tuple[int, np.ndarray]:
 
 def stack_mul(x, y):
     """The product of two exact matrices over Z[t^±1], each a
-    :class:`LaurentMatrix` or a dense pair ``(low, stack)``, the int64
-    (span, n, n) stack of the coefficient matrices of t^low, t^(low + 1), ...
+    :class:`LaurentMatrix` or a dense pair ``(low, stack)``, the int64 or
+    object (span, n, n) stack of the coefficient matrices of t^low,
+    t^(low + 1), ...
 
     Two dense operands of spans s_a and s_b whose entries satisfy
     n * min(s_a, s_b) * max|a| * max|b| < 2^53, with min(s_a, s_b) at most

@@ -17,14 +17,15 @@ on coefficient stacks: int64 stacks in t-coordinates for the exact image,
 multiplied by ``linalg.stack_mul`` in float64 under a proven exactness
 bound, with big operands handed off to the Kronecker product of
 ``LaurentMatrix``; and object stacks in s-coordinates for the image mod
-s^N.  Neither makes a Laurent object until the exact fold hands off or
-ends.  ``_literal``, the same column operations on Laurent entries, stays
-as the oracle of both and as the exact leaf past int64.
+s^N.  An exact run whose entries could leave int64 carries on with the
+same operations on object columns of Python ints.  Neither makes a
+Laurent object until the exact fold hands off or ends.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -80,45 +81,22 @@ def form_j(n: int) -> LaurentMatrix:
 # word evaluation
 
 
-_ONE_MINUS_T = ONE - T
-_ONE_MINUS_T_INV = ONE - T_INV
-
-
-def _literal(n: int, letters) -> LaurentMatrix:
-    """Exact image of a literal run, as column operations on the identity.
-
-    beta(sigma_i^+-1) is never multiplied out: right multiplication by it
-    rewrites columns i and i+1 only.
-    """
-    cols = [[ONE if r == c else ZERO for r in range(n)] for c in range(n)]
-    for i, s in letters:
-        a, b = cols[i - 1], cols[i]
-        if s > 0:
-            # new col i = a*(1-t) + b*t ; new col i+1 = a
-            cols[i - 1] = [x * _ONE_MINUS_T + y * T for x, y in zip(a, b)]
-            cols[i] = a
-        else:
-            # new col i = b ; new col i+1 = a*t^-1 + b*(1-t^-1)
-            cols[i - 1] = b
-            cols[i] = [x * T_INV + y * _ONE_MINUS_T_INV for x, y in zip(a, b)]
-    return LaurentMatrix(list(zip(*cols)))
-
-
 #: int64 entries stay below this; a letter at most triples the largest one
 _INT64_ROOM = (1 << 63) // 3
 
 
 def _literal_dense(n: int, letters):
-    """A literal run's exact image as a dense pair (low, int64 stack) of
-    ``linalg.stack_mul``: the column operations of ``_literal`` on the
-    (span, n) coefficient arrays of the columns, t^low first.
+    """A literal run's exact image as a dense pair (low, stack) of
+    ``linalg.stack_mul``: right multiplication by each generator image as
+    column operations on the (span, n) coefficient arrays of the columns,
+    t^low first, never multiplying a generator image out.
 
     sigma_i takes columns (a, b) at (i, i+1) to (a + t(b - a), a) and
     sigma_i^-1 to (b, b + t^-1(a - b)); multiplying by t^+-1 is a shift by
     one degree.  The degrees lie between minus the run's negative letters
     and its positive ones, a range allocated once, and a shift never
-    leaves it.  A run whose entries could leave int64 is the
-    ``LaurentMatrix`` of ``_literal``.
+    leaves it.  The columns are int64 until their entries could leave it,
+    and from there object arrays of Python ints under the same operations.
     """
     neg = sum(s < 0 for _, s in letters)
     cols = [np.zeros((len(letters) + 1, n), dtype=np.int64) for _ in range(n)]
@@ -129,7 +107,8 @@ def _literal_dense(n: int, letters):
         if top > _INT64_ROOM:
             top = max(int(np.abs(c).max()) for c in cols)
             if top > _INT64_ROOM:
-                return _literal(n, letters)
+                cols = [c.astype(object) for c in cols]
+                top = -math.inf  # Python ints need no bound
         top *= 3
         a, b = cols[i - 1], cols[i]
         if s > 0:
@@ -147,10 +126,10 @@ def burau_eval(w: BraidWord) -> LaurentMatrix:
     """Exact image of a word, memoized over shared DAG nodes.
 
     The word fold's inverse flag means no matrix is inverted.  Its values
-    are dense int64 stacks, leaves from ``_literal_dense``, multiplied by
-    ``linalg.stack_mul``: in float64 under its exactness bound, and
-    otherwise by the Kronecker product of ``LaurentMatrix``, where every
-    later product with that value stays.
+    are dense stacks, int64 or past it object, leaves from
+    ``_literal_dense``, multiplied by ``linalg.stack_mul``: in float64
+    under its exactness bound, and otherwise by the Kronecker product of
+    ``LaurentMatrix``, where every later product with that value stays.
     """
     n = w.n
     return to_laurent(fold(
@@ -161,8 +140,8 @@ def burau_eval(w: BraidWord) -> LaurentMatrix:
 
 def _literal_stack(n: int, letters, precision: int) -> np.ndarray:
     """A literal run's image in Z[s]/(s^precision), as the (p, n, n) object
-    stack of ``TruncMatrix``: the column operations of ``_literal`` in
-    s-coordinates, t = 1 + s, with no Laurent entry on the way.
+    stack of ``TruncMatrix``: the column operations of ``_literal_dense``
+    in s-coordinates, t = 1 + s, with no Laurent entry on the way.
 
     A column is a flat list whose entry k*n + r is the s^k coefficient of
     row r, so multiplying by s shifts it n places.  sigma_i takes columns

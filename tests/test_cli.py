@@ -374,6 +374,20 @@ def test_search_config_file(tmp_path):
     assert lines[0]["hit"]["index"] == 2
 
 
+def test_search_config_sets_the_strand_count_of_its_bindings(tmp_path):
+    cfg = {"n": 6, "targetDepth": 3, "pool": ["ALPHA", "X"], "budget": 4}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, lines, _ = run(["search", "--config", str(path), "--let", "X=s5"])
+    assert code == 0
+    assert lines[-1] == {"command": "search", "candidates": 4, "hits": 1,
+                         "budgetExhausted": False}
+    assert len(lines[0]["hit"]["leading"]["matrix"]) == 6
+    # the strand count comes from the file alone
+    assert_usage_error(*run(["search", "--config", str(path), "--n", "6"]),
+                       "--n")
+
+
 def test_search_needs_a_mode():
     code, _, err = run(["search"])
     assert code == 2
@@ -537,7 +551,7 @@ def test_coeff_degree_zero_is_a_usage_error():
     assert error_kind(err) == "UsageError"
 
 
-def test_nonpositive_strand_counts_are_usage_errors():
+def test_nonpositive_strand_counts_are_usage_errors(tmp_path):
     extra = {"coeff": ["--k", "1"], "expand": ["--precision", "2"]}
     for command in ("eval", "check", "depth", "coeff", "expand"):
         for n, word in (("0", ""), ("-2", "s1")):
@@ -546,9 +560,10 @@ def test_nonpositive_strand_counts_are_usage_errors():
             assert code == 2
             assert error_kind(err) == "UsageError"
             assert "--n" in err
-    code, _, err = run(["search", "--n", "0", "--alpha", "--budget", "1"])
-    assert code == 2
-    assert error_kind(err) == "UsageError"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 0, "targetDepth": 2, "pool": ["s1"]}))
+    assert_usage_error(*run(["search", "--config", str(path), "--budget", "1"]),
+                       str(path), "n must be at least 1")
 
 
 def test_negative_search_budget_is_a_usage_error():
@@ -734,6 +749,18 @@ def test_approximate_library_without_degrees_is_a_usage_error(tmp_path):
     path.write_text(json.dumps({"n": 5}))
     assert_usage_error(*run(["approximate", "--gamma", str(gamma), "--k", "2",
                              "--library", str(path)]), str(path), "maxDegree")
+
+
+def test_approximate_outside_the_library_is_a_usage_error(tmp_path):
+    lib = tmp_path / "lib.json"
+    lib.write_text(json.dumps(default_library(N, 2).to_json()))
+    gamma = tmp_path / "gamma.json"
+    # a degree above the library's, and a matrix on another strand count
+    for n, k, name in ((N, "3", "--k 3"), (N + 1, "2", "strands")):
+        gamma.write_text(json.dumps(burau_eval(parse_word("A13", n)).to_json()))
+        assert_usage_error(*run(["approximate", "--gamma", str(gamma),
+                                 "--k", k, "--library", str(lib)]),
+                           str(lib), name)
 
 
 def test_check_of_a_matrix_with_far_apart_degrees(tmp_path):

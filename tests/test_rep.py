@@ -32,6 +32,26 @@ def rand_word(rng, n, length):
                     for _ in range(length)))
 
 
+def _literal(n, letters):
+    """The exact image of a literal run by column operations on Laurent
+    entries: the oracle of the evaluator's dense and truncated runs.
+
+    Right multiplication by beta(sigma_i^+-1) rewrites columns i and i+1
+    only: (a, b) -> (a(1 - t) + bt, a) and (a, b) -> (b, at^-1 + b(1 - t^-1)).
+    """
+    one_minus_t, one_minus_t_inv = 1 - T, 1 - T_INV
+    cols = [[ONE if r == c else ZERO for r in range(n)] for c in range(n)]
+    for i, s in letters:
+        a, b = cols[i - 1], cols[i]
+        if s > 0:
+            cols[i - 1] = [x * one_minus_t + y * T for x, y in zip(a, b)]
+            cols[i] = a
+        else:
+            cols[i - 1] = b
+            cols[i] = [x * T_INV + y * one_minus_t_inv for x, y in zip(a, b)]
+    return LaurentMatrix(list(zip(*cols)))
+
+
 # ---------------------------------------------------------------------------
 # generators
 
@@ -110,8 +130,8 @@ def test_literal_runs_are_products_of_generator_images(monkeypatch):
     # an oracle that shares nothing with the evaluator's column operations
     rng = random.Random(403)
     runs = []
-    real = rep._literal
-    monkeypatch.setattr(rep, "_literal",
+    real = rep._literal_dense
+    monkeypatch.setattr(rep, "_literal_dense",
                         lambda n, letters: runs.append(len(letters))
                         or real(n, letters))
     for n in range(2, 7):
@@ -146,7 +166,7 @@ def test_literal_stack_is_the_truncated_exact_run():
             pure += pure_gen(n, i, rng.randint(i + 1, n)).letters
         runs.append(pure)
         for letters in runs:
-            exact = rep._literal(n, letters)
+            exact = _literal(n, letters)
             for precision in range(1, 9):
                 got = rep._literal_stack(n, letters, precision)
                 assert got.shape == (precision, n, n) and got.dtype == object
@@ -154,43 +174,68 @@ def test_literal_stack_is_the_truncated_exact_run():
                 assert TruncMatrix(got) == exact.truncate(precision)
 
 
+def _assert_dense_leaf(n, letters):
+    """The dense leaf of a run equals the oracle; returns its dtype."""
+    low, stack = rep._literal_dense(n, letters)
+    assert stack.shape[1:] == (n, n) and stack[0].any() and stack[-1].any()
+    if stack.dtype == object:
+        assert all(type(x) is int for x in stack.ravel())
+    else:
+        assert stack.dtype == np.int64
+    assert LaurentMatrix.from_stack(low, stack) == _literal(n, letters)
+    return stack.dtype
+
+
 def test_dense_leaf_is_the_exact_run():
-    # the t-coordinate column operations on int64 stacks against the exact
-    # column operations on Laurent entries
+    # the t-coordinate column operations on dense stacks against the exact
+    # column operations on Laurent entries.  The int64 room check first
+    # fires at 39 letters; random runs stay small there, while runs whose
+    # sign follows the parity of i grow by up to a bit a letter and leave
+    # int64 by 240 letters from n = 3 on
     rng = random.Random(405)
+    dtypes = []
     for n in range(2, 9):
         runs = [[(rng.randint(1, n - 1), rng.choice((1, -1)))
-                 for _ in range(length)] for length in (0, 1, 2, 7, 30, 100)]
+                 for _ in range(length)]
+                for length in (0, 1, 2, 7, 30, 39, 100)]
         runs.append([(rng.randint(1, n - 1), -1) for _ in range(60)])
         runs.append([(rng.randint(1, n - 1), 1) for _ in range(60)])
+        runs += [[(i, 1 if i % 2 else -1)
+                  for i in (rng.randint(1, n - 1) for _ in range(length))]
+                 for length in (39, 240)]
         pure = []
         while len(pure) < 100:
             i = rng.randint(1, n - 1)
             pure += pure_gen(n, i, rng.randint(i + 1, n)).letters
         runs += [pure, [(i, -s) for i, s in reversed(pure)]]
-        for letters in runs:
-            low, stack = rep._literal_dense(n, letters)
-            assert stack.dtype == np.int64 and stack.shape[1:] == (n, n)
-            assert stack[0].any() and stack[-1].any()
-            assert LaurentMatrix.from_stack(low, stack) == rep._literal(
-                n, letters)
+        dtypes += [_assert_dense_leaf(n, letters) for letters in runs]
+    assert dtypes.count(object) == 6
 
 
 def test_dense_leaf_past_int64_is_the_exact_run():
     # (sigma_1 sigma_2^-1)^k has entries of about 1.3 k bits: 59 at
-    # k = 45, still int64, and 65 at k = 50, which takes the Laurent run
-    for k, dense in ((45, True), (50, False)):
-        letters = [(1, 1), (2, -1)] * k
-        got = rep._literal_dense(3, letters)
-        assert isinstance(got, tuple) == dense
-        if dense:
-            got = LaurentMatrix.from_stack(*got)
-        assert got == rep._literal(3, letters)
+    # k = 45, still int64, and 65 at k = 50, which carries on in objects
+    for k, dtype in ((45, np.int64), (50, object)):
+        assert _assert_dense_leaf(3, [(1, 1), (2, -1)] * k) == dtype
+
+
+def test_long_run_makes_no_laurent_product(monkeypatch):
+    # a run past int64 stays on dense columns: Laurent objects are made
+    # only when the fold ends
+    w = Literal(3, [(1, 1), (2, -1)] * 50)
+    expect = _literal(3, w.letters)
+    products = []
+    real = LaurentPoly.__mul__
+    monkeypatch.setattr(LaurentPoly, "__mul__", lambda a, b: (
+        products.append(1) or real(a, b)))
+    got = burau_eval(w)
+    assert products == []
+    assert got == expect
 
 
 def _kronecker_fold(w):
     """The exact fold on Laurent leaves and Kronecker products alone."""
-    return fold(w, lambda letters: rep._literal(w.n, letters),
+    return fold(w, lambda letters: _literal(w.n, letters),
                 LaurentMatrix.identity(w.n))
 
 
