@@ -284,6 +284,9 @@ def cmd_approximate(args) -> int:
 def cmd_search(args) -> int:
     from .search import (SearchConfig, alpha_search_config, delta_search_config,
                          search_deep)
+    if args.let and not args.config:
+        raise UsageError("--let needs --config: the --alpha and --delta "
+                         "configs take no bindings")
     if args.alpha:
         cfg = alpha_search_config()
     elif args.delta:

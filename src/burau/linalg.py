@@ -11,22 +11,18 @@ word evaluation, where only the first N s-adic coefficients matter.  Both
 paths are exact in their own ring: truncation at t = 1 + s is a ring
 homomorphism, so a truncated result is a theorem about the exact one.
 
-A Laurent matrix product is big-integer arithmetic (Kronecker
-substitution): each entry, shifted by the least exponent of its row or
-column, is packed into one Python int in balanced base-2^W digits, and each
-output entry is one sum of n big-int products, unpacked once.  The digit
-width W is fixed before packing, in whole bytes, from a bound on every
-product coefficient, so no digit can carry.  Operands whose rows or columns
-hold terms far apart in degree (say t^0 and t^(10^9)), where the packed ints
-would be mostly zero digits, take the entrywise product instead.
-
-The exact word fold (``rep.burau_eval``) runs on dense pairs (low, stack)
-instead, the int64 stack of a matrix's coefficient matrices of t^low,
-t^(low + 1), ...: :func:`stack_mul` multiplies two of them in float64
-(BLAS) where a bound on the operands shows that every sum is an integer
-below 2^53 and the shorter span is small.  Big operands are converted to
-``LaurentMatrix`` once and take the Kronecker product, and the fold stays
-there.
+There is one exact product over Z[t^±1]: :func:`stack_mul`, on dense pairs
+(low, stack).  A stack is the int64 or object array of a matrix's
+coefficient matrices of t^low, t^(low + 1), ...  Every output coefficient
+is at most n * min(span) * max|a| * max|b| in size.  Under 2^53, with a
+short enough span, the product runs in float64 (BLAS).  Otherwise it is
+Kronecker substitution: each entry is packed from its stack column into
+one Python int, in balanced base-2^W digits, and each output entry is one
+sum of n big-int products.  The same bound fixes W, so no digit can carry.
+The exact word fold (``rep.burau_eval``) stays on dense pairs from leaf to
+root.  :class:`LaurentMatrix` multiplies by laying both operands out as
+dense pairs.  Where those layouts would be mostly zero coefficients (say
+t^0 and t^(10^9) in one matrix), it takes the entrywise product instead.
 
 A truncated matrix is the (N, n, n) numpy stack of its s^k coefficient
 matrices, with Python-int entries.  It is reached from an exact matrix by
@@ -82,9 +78,9 @@ class SquareMatrix:
     A subclass names its entry ring and holds only what is specific to it:
     ``_entry`` coerces one entry into the ring (refusing what is not in it),
     and ``_zero`` and ``_one`` are the ring's constants.  Each subclass binds
-    its own product as ``__mul__``: the Laurent product packs entries into
-    big integers, and the benchmark tracer (``perfbench/tracer.py``) wraps
-    each class's product where that class defines it.
+    its own product as ``__mul__``: the Laurent product goes through
+    :func:`stack_mul`, and the benchmark tracer (``perfbench/tracer.py``)
+    wraps each class's product where that class defines it.
     """
 
     __slots__ = ("n", "rows")
@@ -319,127 +315,20 @@ def perm_matrix(pi) -> IntMatrix:
 # ---------------------------------------------------------------------------
 # Laurent matrices
 
-#: packing pads each entry with zero digits to its line's span; past this
-#: many digits per term the entrywise product is the faster one (at n = 5
-#: the two cross between 4 and 16, later for entries of more terms)
+#: a dense layout pads each entry with zero coefficients to its matrix's
+#: span; past this many coefficients per term the entrywise product is the
+#: faster one (at n = 5, with 1 to 16 terms an entry, the two cross
+#: between 8 and 16 on a 2-CPU Xeon)
 _DIGITS_PER_TERM = 8
-
-
-def _kronecker_lines(lines):
-    """Per line (a row or a column): least exponent and span in digits.
-
-    Also the largest |coefficient|, the digits of the packed entries (each
-    nonzero entry padded to its line's span) and the number of terms.
-    """
-    lows, spans, values = [], [], []
-    digits = 0
-    for line in lines:
-        polys = [p._c for p in line if p._c]
-        if polys:
-            low = min(map(min, polys))
-            span = max(map(max, polys)) - low + 1
-            digits += span * len(polys)
-            values += map(dict.values, polys)
-        else:
-            low = span = 0
-        lows.append(low)
-        spans.append(span)
-    values = list(itertools.chain.from_iterable(values))
-    return lows, spans, max(map(abs, values), default=0), digits, len(values)
-
-
-def _kronecker_product(rows, cols):
-    """Rows of the product of Laurent rows by Laurent columns, or None.
-
-    Kronecker substitution: an entry a of row i becomes the integer
-    a(2^W) / 2^(W * low_i), with low_i the least exponent in row i, and
-    likewise per column; one big-integer dot product then gives every
-    coefficient of an output entry as one base-2^W digit.  The digit width
-    W is fixed first, in whole bytes: the bit length of
-    n * min(span_rows, span_cols) * max|a| * max|b|, a bound on every
-    product coefficient, plus a sign bit.  Digits are balanced, in
-    [-2^(W-1), 2^(W-1)); adding the integer whose digits are all 2^(W-1)
-    makes them plain bytes, so a long entry is packed by one
-    ``int.from_bytes`` and every output entry is unpacked by one
-    ``to_bytes``.  Returns None when packing would write more than
-    ``_DIGITS_PER_TERM`` digits per term of the operands, as when entries
-    of one row or column lie far apart in degree.
-    """
-    lows_a, spans_a, top_a, digits_a, terms_a = _kronecker_lines(rows)
-    lows_b, spans_b, top_b, digits_b, terms_b = _kronecker_lines(cols)
-    if not (terms_a and terms_b):
-        return [[ZERO] * len(cols) for _ in rows]
-    if digits_a + digits_b > _DIGITS_PER_TERM * (terms_a + terms_b):
-        return None
-    bound = len(rows) * min(max(spans_a), max(spans_b)) * top_a * top_b
-    width = (bound.bit_length() + 8) // 8
-    bits = 8 * width
-    half = 1 << (bits - 1)
-    half_bytes = half.to_bytes(width, "little")
-
-    def pack(lines, lows, spans):
-        out = []
-        for line, low, span in zip(lines, lows, spans):
-            packed = []
-            for p in line:
-                c = p._c
-                if not c:
-                    packed.append(0)
-                elif len(c) <= 8:
-                    # shifts cost terms * span, so only for a few terms
-                    packed.append(sum(v << bits * (e - low)
-                                      for e, v in c.items()))
-                else:
-                    blank = half_bytes * span
-                    buf = bytearray(blank)
-                    for e, v in c.items():
-                        k = (e - low) * width
-                        buf[k:k + width] = (v + half).to_bytes(width, "little")
-                    packed.append(int.from_bytes(buf, "little")
-                                  - int.from_bytes(blank, "little"))
-            out.append(packed)
-        return out
-
-    packed_cols = pack(cols, lows_b, spans_b)
-    out = []
-    for row, low_a in zip(pack(rows, lows_a, spans_a), lows_a):
-        new_row = []
-        for col, low_b in zip(packed_cols, lows_b):
-            acc = sum(map(operator.mul, row, col))
-            if not acc:
-                new_row.append(ZERO)
-                continue
-            # Unpack from the lowest to the highest nonzero digit.  A digit
-            # is below 2^(W-1) in size, so the lowest set bit of acc falls
-            # in the lowest nonzero digit, and |acc| has between W * top
-            # and W * (top + 1) - 1 bits, top being the highest one.
-            first = ((acc & -acc).bit_length() - 1) // bits
-            acc >>= bits * first
-            low = low_a + low_b + first
-            if -half <= acc < half:
-                new_row.append(LaurentPoly({low: acc}))
-                continue
-            blank = half_bytes * (abs(acc).bit_length() // bits + 1)
-            buf = (acc + int.from_bytes(blank, "little")).to_bytes(
-                len(blank), "little")
-            new_row.append(LaurentPoly(dict(zip(
-                itertools.count(low),
-                (int.from_bytes(buf[k:k + width], "little") - half
-                 for k in range(0, len(buf), width))))))
-        out.append(new_row)
-    return out
 
 
 class LaurentMatrix(SquareMatrix):
     """An n x n matrix over Z[t, t^-1].
 
-    The matrix product is a Kronecker substitution: entries are packed into
-    Python big integers, one per entry, in a digit width fixed a priori
-    from the operands, so each output entry is a sum of n big-integer
-    products (see :func:`_kronecker_product`).  Operands whose rows or
-    columns hold terms far apart in degree, where the packed integers would
-    be mostly zero digits, take the entrywise product of
-    :class:`SquareMatrix` instead.
+    The matrix product lays both operands out as dense pairs (low, stack)
+    and multiplies them by :func:`stack_mul`.  Operands whose terms lie far
+    apart in degree, where the layouts would be mostly zero coefficients,
+    take the entrywise product of :class:`SquareMatrix` instead.
     """
 
     __slots__ = ()
@@ -457,8 +346,17 @@ class LaurentMatrix(SquareMatrix):
         if not isinstance(other, LaurentMatrix):
             return self._product(other)
         self._check(other)
-        rows = _kronecker_product(self.rows, list(zip(*other.rows)))
-        return self._product(other) if rows is None else LaurentMatrix(rows)
+        digits = terms = 0
+        for m in (self, other):
+            polys = [p._c for row in m.rows for p in row if p._c]
+            if polys:
+                span = max(map(max, polys)) - min(map(min, polys)) + 1
+                digits += span * self.n ** 2
+                terms += sum(map(len, polys))
+        if digits > _DIGITS_PER_TERM * terms:
+            return self._product(other)
+        return LaurentMatrix.from_stack(
+            *stack_mul(self.to_stack(), other.to_stack()))
 
     __rmul__ = __mul__
 
@@ -520,6 +418,8 @@ class LaurentMatrix(SquareMatrix):
         m = LaurentMatrix(rows)
         if m.n != json_int(obj["n"]):
             raise ValueError("declared dimension does not match entries")
+        if m.n < 1:
+            raise ValueError(f"n must be at least 1, got {m.n}")
         return m
 
     @staticmethod
@@ -527,8 +427,26 @@ class LaurentMatrix(SquareMatrix):
         """The matrix whose t^(low + d) coefficient matrix is ``stack[d]``,
         for a (span, n, n) integer stack."""
         exps = range(low, low + len(stack))
-        return LaurentMatrix([[LaurentPoly(dict(zip(exps, e))) for e in row]
-                              for row in stack.transpose(1, 2, 0).tolist()])
+        return LaurentMatrix([
+            [LaurentPoly(dict(itertools.compress(zip(exps, e), e)))
+             for e in map(np.ndarray.tolist, row)]
+            for row in stack.transpose(1, 2, 0)])
+
+    def to_stack(self) -> tuple[int, np.ndarray]:
+        """The dense pair (low, stack) of :meth:`from_stack`, spanning the
+        least to the greatest exponent: int64 where every coefficient fits
+        it and object otherwise, and (0, empty) for zero."""
+        n = self.n
+        polys = [p._c for row in self.rows for p in row]
+        if not any(polys):
+            return 0, np.zeros((0, n, n), dtype=np.int64)
+        low = min(min(c) for c in polys if c)
+        degrees = [e - low for e in itertools.chain.from_iterable(polys)]
+        values = list(itertools.chain.from_iterable(map(dict.values, polys)))
+        stack = np.zeros((max(degrees) + 1, n * n), dtype=object
+                         if max(map(abs, values)) >> 63 else np.int64)
+        stack[degrees, np.repeat(np.arange(n * n), list(map(len, polys)))] = values
+        return low, stack.reshape(-1, n, n)
 
     def __str__(self) -> str:
         return _bracketed([[str(e) for e in row] for row in self.rows])
@@ -538,16 +456,15 @@ class LaurentMatrix(SquareMatrix):
 
 
 # ---------------------------------------------------------------------------
-# dense Laurent stacks: the exact word fold's values
+# dense Laurent stacks: the one exact product
 
 #: the float64 product takes min(span) matrix products, so its time grows
 #: with min(span) * max(span), against Kronecker's big-int Karatsuba; above
-#: this least span it hands off.  Measured on a 2-CPU Xeon with numpy's
-#: OpenBLAS: the float64 route won every dense random product at n = 3..8
-#: up to spans 2048, but lost on sparse Burau powers with a higher crossover
-#: (A13^2000 at n = 5: 0.076 s at 1024 against 0.052 s), and from 128 up the
-#: peak memory of long powers rose above the Kronecker fold's
-#: ((s1 s2 s3 s4)^500 at n = 5: 0.66 MB against 0.50 MB)
+#: this least span it takes Kronecker substitution.  Measured on a 2-CPU
+#: Xeon with numpy's OpenBLAS: the float64 route won every dense random
+#: product at n = 3..8 up to spans 2048; on Burau powers at n = 5 the
+#: crossover moves little (A13^2000: 0.145 s at 64, 0.126 s at 1024), and
+#: the peak memory of (s1 s2 s3 s4)^500 is 0.44 MB at either
 _FLOAT_SPAN = 64
 
 
@@ -561,50 +478,84 @@ def trim_stack(low: int, stack: np.ndarray) -> tuple[int, np.ndarray]:
 
 
 def stack_mul(x, y):
-    """The product of two exact matrices over Z[t^±1], each a
-    :class:`LaurentMatrix` or a dense pair ``(low, stack)``, the int64 or
-    object (span, n, n) stack of the coefficient matrices of t^low,
-    t^(low + 1), ...
+    """The product of two exact matrices over Z[t^±1], each a dense pair
+    ``(low, stack)``, the int64 or object (span, n, n) stack of the
+    coefficient matrices of t^low, t^(low + 1), ...; the result is such a
+    pair, its zero end degrees trimmed.
 
-    Two dense operands of spans s_a and s_b whose entries satisfy
-    n * min(s_a, s_b) * max|a| * max|b| < 2^53, with min(s_a, s_b) at most
-    ``_FLOAT_SPAN``, multiply in float64 (BLAS), exact as in
-    :func:`trunc_mul`: each output coefficient is a sum of at most
-    n * min(s_a, s_b) products of integers, so every partial sum, in any
-    order, is an integer below 2^53.  The shorter operand a is the left one,
+    Each output coefficient is a sum of at most n * min(s_a, s_b) products
+    of integers, for operands of spans s_a and s_b, so it is at most
+    n * min(s_a, s_b) * max|a| * max|b| in size.  Under 2^53, with
+    min(s_a, s_b) at most ``_FLOAT_SPAN``, the product runs in float64
+    (BLAS), exact as in :func:`trunc_mul`: every partial sum, in any order,
+    is an integer below 2^53.  The shorter operand a is the left one,
     transposing both sides and the result if need be; each of its degrees
     a_i multiplies all of b at once, as one (n, n) by (n, span_b n) matrix
-    product, added into the result at degrees i onwards.  That needs no
-    more memory than the result.  The result is dense, its zero end degrees
-    trimmed.  Any other pair is converted to :class:`LaurentMatrix` and
-    multiplied there (Kronecker substitution), so the result is a
-    ``LaurentMatrix``, as is any product with one.
+    product, added into the int64 result at degrees i onwards.  That needs
+    no more memory than the result.  Otherwise the product is
+    :func:`_kronecker_mul`, on big integers.
     """
-    if isinstance(x, tuple) and isinstance(y, tuple):
-        (low_a, a), (low_b, b) = x, y
-        if not (len(a) and len(b)):
-            return 0, a[:0]
-        n = a.shape[1]
-        flip = len(b) < len(a)
-        if flip:
-            a, b = b.transpose(0, 2, 1), a.transpose(0, 2, 1)
-        s, t = len(a), len(b)
-        if (s <= _FLOAT_SPAN and n * s * int(np.abs(a).max())
-                * int(np.abs(b).max()) < 1 << 53):
-            fa = a.astype(np.float64)
-            fb = b.transpose(1, 0, 2).reshape(n, t * n).astype(np.float64)
-            out = np.zeros((n, s + t - 1, n))
-            for i, ai in enumerate(fa):
-                out[:, i:i + t] += (ai @ fb).reshape(n, t, n)
-            out = out.astype(np.int64)
-            out = out.transpose(1, 2, 0) if flip else out.transpose(1, 0, 2)
-            return trim_stack(low_a + low_b, out)
-    return to_laurent(x) * to_laurent(y)
+    (low_a, a), (low_b, b) = x, y
+    n = a.shape[1]
+    bound = n * int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0))
+    if not bound:
+        return 0, a[:0]
+    flip = len(b) < len(a)
+    if flip:
+        a, b = b.transpose(0, 2, 1), a.transpose(0, 2, 1)
+    s, t = len(a), len(b)
+    bound *= s
+    if s <= _FLOAT_SPAN and bound < 1 << 53:
+        fa = a.astype(np.float64)
+        fb = b.transpose(1, 0, 2).reshape(n, t * n).astype(np.float64)
+        out = np.zeros((n, s + t - 1, n))
+        for i, ai in enumerate(fa):
+            out[:, i:i + t] += (ai @ fb).reshape(n, t, n)
+        out = out.astype(np.int64)
+    else:
+        out = _kronecker_mul(a, b, bound)
+    out = out.transpose(1, 2, 0) if flip else out.transpose(1, 0, 2)
+    return trim_stack(low_a + low_b, out)
 
 
-def to_laurent(x) -> LaurentMatrix:
-    """A value of :func:`stack_mul`, dense or not, as a ``LaurentMatrix``."""
-    return x if isinstance(x, LaurentMatrix) else LaurentMatrix.from_stack(*x)
+def _pack(stack: np.ndarray, width: int) -> list[list[int]]:
+    """Rows of ints, one per entry of a (span, n, n) stack: the entry's
+    coefficients as balanced base-2^(8 width) digits, t^low the lowest."""
+    half = 1 << (8 * width - 1)
+    blank = int.from_bytes(half.to_bytes(width, "little") * len(stack),
+                           "little")
+    return [[int.from_bytes(b"".join([(v + half).to_bytes(width, "little")
+                                      for v in e]), "little") - blank
+             for e in row] for row in stack.transpose(1, 2, 0).tolist()]
+
+
+def _kronecker_mul(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
+    """:func:`stack_mul` of the stacks a (s, n, n) and b (t, n, n) by
+    Kronecker substitution, every product coefficient at most ``bound`` in
+    size: an (n, s + t - 1, n) stack, rows first, then degrees.
+
+    An entry of a becomes the integer a(2^W) / 2^(W low_a), and likewise for
+    b; one big-integer dot product then gives every coefficient of an output
+    entry as one base-2^W digit.  The digit width W is the bit length of
+    ``bound`` plus a sign bit, in whole bytes, so no digit can carry.
+    Digits are balanced, in [-2^(W-1), 2^(W-1)); adding the integer whose
+    digits are all 2^(W-1) makes them plain bytes, so every entry is packed
+    by one ``int.from_bytes`` and every output entry unpacked by one
+    ``to_bytes``, then read digit by digit into an object stack of Python
+    ints.
+    """
+    n = a.shape[1]
+    width = (bound.bit_length() + 8) // 8
+    half = 1 << (8 * width - 1)
+    span = len(a) + len(b) - 1
+    blank = int.from_bytes(half.to_bytes(width, "little") * span, "little")
+    cols = _pack(b.transpose(0, 2, 1), width)
+    data = b"".join([(sum(map(operator.mul, row, col)) + blank).to_bytes(
+        span * width, "little") for row in _pack(a, width) for col in cols])
+    out = np.fromiter((int.from_bytes(data[k:k + width], "little") - half
+                       for k in range(0, len(data), width)),
+                      dtype=object, count=n * n * span)
+    return out.reshape(n, n, span).transpose(0, 2, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,12 @@ gamma_coeff extracts the leading coefficient as a GradedElement.
 
 Words are evaluated by one fold whose literal runs are column operations
 on coefficient stacks: int64 stacks in t-coordinates for the exact image,
-multiplied by ``linalg.stack_mul`` in float64 under a proven exactness
-bound, with big operands handed off to the Kronecker product of
-``LaurentMatrix``; and object stacks in s-coordinates for the image mod
-s^N.  An exact run whose entries could leave int64 carries on with the
-same operations on object columns of Python ints.  Neither makes a
-Laurent object until the exact fold hands off or ends.
+multiplied by ``linalg.stack_mul`` (in float64 under a proven exactness
+bound, and by Kronecker substitution on big integers past it); and object
+stacks in s-coordinates for the image mod s^N.  An exact run whose entries
+could leave int64 carries on with the same operations on object columns of
+Python ints.  Neither makes a Laurent object until the fold ends: the
+exact image becomes a ``LaurentMatrix`` once, at the root.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ import math
 import numpy as np
 
 from .laurent import LaurentPoly, ONE, ZERO, T, T_INV
-from .linalg import (LaurentMatrix, TruncMatrix, stack_mul, to_laurent,
-                     trim_stack)
+from .linalg import LaurentMatrix, TruncMatrix, stack_mul, trim_stack
 from .liealg import GradedElement
 from .words import BraidWord, Perm, fold
 
@@ -126,13 +125,12 @@ def burau_eval(w: BraidWord) -> LaurentMatrix:
     """Exact image of a word, memoized over shared DAG nodes.
 
     The word fold's inverse flag means no matrix is inverted.  Its values
-    are dense stacks, int64 or past it object, leaves from
-    ``_literal_dense``, multiplied by ``linalg.stack_mul``: in float64
-    under its exactness bound, and otherwise by the Kronecker product of
-    ``LaurentMatrix``, where every later product with that value stays.
+    are dense pairs (low, stack), int64 or past it object, leaves from
+    ``_literal_dense``, multiplied by ``linalg.stack_mul`` from leaf to
+    root; the root's pair becomes the ``LaurentMatrix``.
     """
     n = w.n
-    return to_laurent(fold(
+    return LaurentMatrix.from_stack(*fold(
         w, lambda letters: _literal_dense(n, letters),
         (0, np.eye(n, dtype=np.int64)[None]),
         product=lambda values: functools.reduce(stack_mul, values)))

@@ -566,6 +566,23 @@ def test_nonpositive_strand_counts_are_usage_errors(tmp_path):
                        str(path), "n must be at least 1")
 
 
+def test_empty_matrix_file_is_a_usage_error(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"n": 0, "entries": []}))
+    extra = {"coeff": ["--k", "1"], "expand": ["--precision", "2"]}
+    for command in ("check", "depth", "coeff", "expand"):
+        assert_usage_error(*run([command, "--matrix", str(path)]
+                                + extra.get(command, [])),
+                           str(path), "n must be at least 1")
+
+
+@pytest.mark.parametrize("mode", ["--alpha", "--delta"])
+def test_search_bindings_need_a_config(mode):
+    # the binding is not even parsed: --let means nothing without --config
+    assert_usage_error(*run(["search", mode, "--budget", "1",
+                             "--let", "X=s1 (("]), "--let", "--config")
+
+
 def test_negative_search_budget_is_a_usage_error():
     code, _, err = run(["search", "--alpha", "--budget", "-5"])
     assert code == 2

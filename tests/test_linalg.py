@@ -9,10 +9,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from burau import linalg
 from burau.laurent import S, LaurentPoly, T, T_INV, TruncSeries
 from burau.linalg import (_FLOAT_SPAN, IntLattice, IntMatrix, LaurentMatrix,
                           NonUnitDeterminant, RatMatrix, SquareMatrix,
-                          TruncMatrix, _kronecker_product, lll_reduce,
+                          TruncMatrix, lll_reduce,
                           matrix_lattice, perm_matrix, row_hnf, stack_mul, trunc_depths,
                           trunc_mul, trunc_mul_ints)
 from burau.liealg import g_basis, gen_x, gen_y
@@ -530,12 +531,16 @@ def _random_laurent(rng, n, rows_off, cols_off, bits, zero_frac):
     return LaurentMatrix([[entry(i, j) for j in range(n)] for i in range(n)])
 
 
-def test_product_matches_schoolbook():
+def test_product_matches_schoolbook(monkeypatch):
     """Exponent offsets differ by row of the left factor and by column of
-    the right one, as the packing expects; every fourth trial also offsets
-    the inner index, which spreads each line so far that the product takes
-    the entrywise route."""
+    the right one; every fourth trial also offsets the inner index.  A
+    product is laid out from one least exponent per matrix, so offsets
+    spread wide enough send it to the entrywise route."""
     rng = random.Random(611)
+    stacked = []
+    real = linalg.stack_mul
+    monkeypatch.setattr(linalg, "stack_mul", lambda x, y: (
+        stacked.append(1) or real(x, y)))
     packed = 0
     for trial in range(120):
         n = 1 + trial % 7
@@ -550,14 +555,16 @@ def test_product_matches_schoolbook():
             zero_row = rng.randrange(n)
             a = LaurentMatrix([[LaurentPoly(0)] * n if i == zero_row else row
                                for i, row in enumerate(a.rows)])
+        stacked.clear()
         assert a * b == schoolbook(a, b)
-        packed += _kronecker_product(a.rows, list(zip(*b.rows))) is not None
+        packed += len(stacked)
         zero = LaurentMatrix.zero(n)
         assert a * zero == zero and zero * b == zero
         scalar = LaurentPoly({rng.randint(-60, 60): rng.getrandbits(bits) + 1})
         assert a * scalar == scalar * a == LaurentMatrix(
             [[e * scalar for e in row] for row in a.rows])
-    assert packed >= 80
+    # both routes get exercised: 23 of the 120 products take stack_mul
+    assert 20 <= packed <= 100
 
 
 def test_product_coefficient_at_the_digit_width_bound():
@@ -565,8 +572,9 @@ def test_product_coefficient_at_the_digit_width_bound():
     coefficient of every product entry is +-n m x^2, exactly the bound
     n * min(span) * max|a| * max|b| the digit width is sized for.  x is
     picked so that this bound has a whole number of bytes, so the sign bit
-    alone costs a byte.  Entries of 2 and of 12 terms are packed by
-    different routes."""
+    alone costs a byte.  At 2 bytes the product runs in float64; at 8 and
+    25 by Kronecker substitution, packed from int64 and from object
+    stacks."""
     for n in (1, 2, 3, 7):
         for m in (2, 12):
             for nbytes in (2, 8, 25):
@@ -580,6 +588,53 @@ def test_product_coefficient_at_the_digit_width_bound():
                     ab = a * b
                     assert ab == schoolbook(a, b)
                     assert ab[0, n - 1].coeff(m - 1) == sign * bound
+
+
+def test_laurent_product_takes_every_route_exactly(monkeypatch):
+    """Seeded products at n = 1..8 against the entrywise product, with
+    negative least exponents and zero factors.  Each product takes one of
+    four routes: float64, Kronecker substitution packed from int64 or from
+    object stacks, or, for layouts padded far past the terms they hold (a
+    term hundreds of degrees from the others), the entrywise product."""
+    rng = random.Random(612)
+    routes = []
+    real_stack_mul, real_kronecker = linalg.stack_mul, linalg._kronecker_mul
+
+    def spy_stack_mul(x, y):
+        routes[-1] = "float"
+        return real_stack_mul(x, y)
+
+    def spy_kronecker(a, b, bound):
+        routes[-1] = "object" if object in (a.dtype, b.dtype) else "int64"
+        return real_kronecker(a, b, bound)
+
+    monkeypatch.setattr(linalg, "stack_mul", spy_stack_mul)
+    monkeypatch.setattr(linalg, "_kronecker_mul", spy_kronecker)
+
+    def matrix(n, span, bits):
+        low = rng.randint(-40, 10)
+        rows = [[LaurentPoly({low + rng.randrange(span):
+                              rng.choice((1, -1)) * rng.getrandbits(bits)
+                              for _ in range(rng.randint(0, span))})
+                 for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.15:
+            rows[rng.randrange(n)][rng.randrange(n)] += LaurentPoly(
+                {low + 400: 1})
+        return LaurentMatrix(rows)
+
+    for trial in range(160):
+        n = 1 + trial % 8
+        span = rng.choice((1, 3, 8) if n > 4 else (1, 8, 70))
+        bits = rng.choice((1, 20, 40, 62, 100))
+        a, b = matrix(n, span, bits), matrix(n, span, bits)
+        if trial % 9 == 0:
+            a = LaurentMatrix.zero(n)
+        elif trial % 9 == 1:
+            b = LaurentMatrix.zero(n)
+        routes.append("entrywise")
+        assert a * b == SquareMatrix._product(a, b)
+    assert min(map(routes.count, ("float", "int64", "object",
+                                  "entrywise"))) >= 10
 
 
 def test_sparse_operands_take_the_entrywise_product():
@@ -619,18 +674,19 @@ def _check_stack_mul(x, y):
     want = SquareMatrix._product(LaurentMatrix.from_stack(*x),
                                  LaurentMatrix.from_stack(*y))
     route = _stack_route(x, y)
-    if route == "float":
-        assert type(got) is tuple
-        low, stack = got
-        assert stack.dtype == np.int64 and stack.shape[1:] == x[1].shape[1:]
-        if len(stack):
-            assert stack[0].any() and stack[-1].any()
-        else:
-            assert low == 0
-        got = LaurentMatrix.from_stack(low, stack)
+    assert type(got) is tuple
+    low, stack = got
+    # float64 products come back int64, Kronecker's int64 or Python ints
+    if route == "float" or stack.dtype != object:
+        assert stack.dtype == np.int64
     else:
-        assert type(got) is LaurentMatrix
-    assert got == want
+        assert all(type(v) is int for v in stack.ravel())
+    assert stack.shape[1:] == x[1].shape[1:]
+    if len(stack):
+        assert stack[0].any() and stack[-1].any()
+    else:
+        assert low == 0
+    assert LaurentMatrix.from_stack(low, stack) == want
     return route
 
 
@@ -698,9 +754,7 @@ def test_stack_mul_is_exact_on_both_sides_of_the_float64_bound(
         a = np.full((3, n, n), a_max, dtype=np.int64)
         b = np.full((3, n, n), sign * b_max, dtype=np.int64)
         assert _check_stack_mul((0, a), (0, b)) == route
-        got = stack_mul((0, a), (0, b))
-        if route == "float":
-            got = LaurentMatrix.from_stack(*got)
+        got = LaurentMatrix.from_stack(*stack_mul((0, a), (0, b)))
         assert got[0, 0].coeff(2) == sign * n * 3 * a_max * b_max
 
 

@@ -7,10 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from burau import rep
+from burau import linalg, rep
 from burau.laurent import LaurentPoly, T, T_INV
 from burau.liealg import gen_x
-from burau.linalg import IntMatrix, LaurentMatrix, TruncMatrix, perm_matrix
+from burau.linalg import (IntMatrix, LaurentMatrix, SquareMatrix, TruncMatrix,
+                          perm_matrix)
 from burau.rep import (GAMMA_CONDITIONS, DepthTooSmall, GammaElement,
                        burau_eval, burau_eval_trunc, burau_gamma, burau_gen,
                        form_j, gamma_check, gamma_coeff, ones_row, vector_v)
@@ -233,18 +234,20 @@ def test_long_run_makes_no_laurent_product(monkeypatch):
     assert got == expect
 
 
-def _kronecker_fold(w):
-    """The exact fold on Laurent leaves and Kronecker products alone."""
+def _entrywise_fold(w):
+    """The exact fold on Laurent leaves and entrywise products alone, which
+    share no code with ``linalg.stack_mul``."""
     return fold(w, lambda letters: _literal(w.n, letters),
-                LaurentMatrix.identity(w.n))
+                LaurentMatrix.identity(w.n), product=lambda values:
+                functools.reduce(SquareMatrix._product, values))
 
 
-def test_eval_matches_the_kronecker_fold(monkeypatch):
+def test_eval_matches_the_entrywise_fold(monkeypatch):
     rng = random.Random(406)
-    laurent_products = []
-    real = LaurentMatrix.__mul__
-    monkeypatch.setattr(LaurentMatrix, "__mul__", lambda a, b: (
-        laurent_products.append(1) or real(a, b)))
+    kronecker = []
+    real = linalg._kronecker_mul
+    monkeypatch.setattr(linalg, "_kronecker_mul", lambda a, b, bound: (
+        kronecker.append(1) or real(a, b, bound)))
     for trial in range(20):
         n = rng.randint(2, 6)
         parts = [rand_word(rng, n, rng.randint(1, 8)) for _ in range(3)]
@@ -252,32 +255,48 @@ def test_eval_matches_the_kronecker_fold(monkeypatch):
                    commutator(parts[1], Inverse(n, parts[2])),
                    Power(n, commutator(parts[2], parts[0]),
                          rng.randint(-3, 3)))
-        assert burau_eval(w) == _kronecker_fold(w)
-    # entries beyond 2^53: past the float64 bound, the fold hands off
+        assert burau_eval(w) == _entrywise_fold(w)
+    # entries beyond 2^53: past the float64 bound, the fold multiplies by
+    # Kronecker substitution
     w = Power(3, Literal(3, [(1, 1), (2, -1)]), 50)
-    laurent_products.clear()
+    kronecker.clear()
     got = burau_eval(w)
-    assert laurent_products
+    assert kronecker
     assert max(abs(v) for row in got.rows for e in row
                for v in e._c.values()) > 1 << 53
-    assert got == _kronecker_fold(w)
+    assert got == _entrywise_fold(w)
 
 
-def test_long_power_needs_no_more_memory_than_the_kronecker_fold():
-    for text, n in (("A12^1500", 3), ("(s1 s2 s3 s4)^300", 5)):
+def test_eval_past_the_float64_bound_makes_one_laurent_matrix(monkeypatch):
+    # the fold stays on dense pairs to the root, and only the root becomes
+    # a LaurentMatrix
+    w = Power(3, concat(Literal(3, [(1, 1), (2, -1)] * 20), gen(3, 2)), 9)
+    made, products = [], []
+    real_from_stack, real_mul = LaurentMatrix.from_stack, LaurentMatrix.__mul__
+    monkeypatch.setattr(LaurentMatrix, "from_stack", staticmethod(
+        lambda low, stack: made.append(1) or real_from_stack(low, stack)))
+    monkeypatch.setattr(LaurentMatrix, "__mul__", lambda a, b: (
+        products.append(1) or real_mul(a, b)))
+    got = burau_eval(w)
+    assert made == [1] and products == []
+    assert max(abs(v) for row in got.rows for e in row
+               for v in e._c.values()) > 1 << 53
+
+
+def test_long_power_peak_memory_stays_pinned():
+    # tracemalloc peaks in bytes of burau_eval with the Kronecker product
+    # on Laurent entries, measured on Python 3.11.7 and numpy 2.4.6; the
+    # fold on dense pairs to the root reads 1407904 and 209144 there
+    for text, n, pinned in (("A12^1500", 3, 1_607_115),
+                            ("(s1 s2 s3 s4)^300", 5, 229_778)):
         w = parse_word(text, n)
-        peaks = []
-        for evaluate in (_kronecker_fold, burau_eval):
-            tracemalloc.start()
-            try:
-                evaluate(w)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        old, new = peaks
-        # the float64 products stay below the Kronecker products' peak;
-        # 2 % covers allocator noise
-        assert new < 1.02 * old
+        tracemalloc.start()
+        try:
+            burau_eval(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < pinned, text
 
 
 def test_trunc_eval_matches_exact():
