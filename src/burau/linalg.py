@@ -1,9 +1,9 @@
-"""Square matrices over Z[t,t^-1], over Z[s]/(s^N), over Z and over Q, plus
-integer lattice solving by Hermite normal form.
+"""Square matrices over Z[t,t^-1], over Z[s]/(s^N) and over Z, plus integer
+lattice solving by Hermite normal form.
 
 :class:`SquareMatrix` is the one dense exact layer: its subclasses
-:class:`IntMatrix`, :class:`RatMatrix` and :class:`LaurentMatrix` name only
-their entry ring and add what is specific to it.
+:class:`IntMatrix` and :class:`LaurentMatrix` name only their entry ring
+and add what is specific to it.
 
 The exact path (:class:`LaurentMatrix`) is used for membership checks,
 determinants and depth; the truncated path (:class:`TruncMatrix`) for long
@@ -48,7 +48,6 @@ import functools
 import itertools
 import math
 import operator
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -212,7 +211,7 @@ def _bracketed(cells: Sequence[Sequence[str]]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# integer and rational matrices
+# integer matrices
 
 
 class IntMatrix(SquareMatrix):
@@ -272,27 +271,6 @@ class IntMatrix(SquareMatrix):
 
     def __repr__(self) -> str:
         return f"IntMatrix({[list(r) for r in self.rows]!r})"
-
-
-class RatMatrix(SquareMatrix):
-    """An n x n matrix over Q, with ``Fraction`` entries.
-
-    Integer entries are taken exactly; a float is refused with TypeError.
-    """
-
-    __slots__ = ()
-    _zero, _one = Fraction(0), Fraction(1)
-    __mul__ = __rmul__ = SquareMatrix._product
-
-    @staticmethod
-    def _entry(v) -> Fraction:
-        return v if isinstance(v, Fraction) else Fraction(operator.index(v))
-
-    def to_int(self) -> IntMatrix:
-        """The same matrix over Z; ValueError if an entry is not an integer."""
-        if any(v.denominator != 1 for row in self.rows for v in row):
-            raise ValueError("matrix has non-integral entries")
-        return IntMatrix([[v.numerator for v in row] for row in self.rows])
 
 
 def perm_matrix(pi) -> IntMatrix:

@@ -30,15 +30,21 @@ are both visible from W.  Substituting the banded skew matrix w_prime(W, k)
 with column sums u, corrected by a canonical representative of the
 fractional class, reproduces phi exactly modulo <G_1, G_2k> with an
 integral result.
+
+That path runs on integers: each half-integral matrix is carried as twice
+itself in an IntMatrix, so lying in (1/2) Z is a parity test, and the
+assembled value is divided by 4 once, at the end.  Only the public
+reconstruct_plus and w_prime halve their matrices into rows of Fraction.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Sequence
 
 from .liealg import GradedElement, bracket_lattice, gen_x
-from .linalg import IntLattice, IntMatrix, RatMatrix
+from .linalg import IntLattice, IntMatrix
 from .rep import burau_eval_trunc, form_j
 from .words import BraidWord, commutator, concat, pure_gen
 
@@ -166,7 +172,23 @@ def coset_modulus(n: int, half_degree: int) -> IntLattice:
 
 
 # ---------------------------------------------------------------------------
-# unitarity reconstruction
+# unitarity reconstruction, on doubled integers
+
+
+def _halved(m: IntMatrix) -> tuple[tuple[Fraction, ...], ...]:
+    return tuple(tuple(Fraction(v, 2) for v in row) for row in m.rows)
+
+
+def _plus2(w: GradedElement, k: int) -> IntMatrix:
+    """Twice the symmetric part of (omega)_2k: -1/2 (<(J)_1, w> + (4k-2) w)."""
+    if w.degree % 2 != 1:
+        raise ValueError("w must have odd degree")
+    j1 = form_j(w.n).s_expand(2)[1]
+    m = j1.commutator(w.matrix) + w.matrix * (4 * k - 2)
+    if any(v % 2 for v in m.vec()):
+        raise HalfIntegralityViolation("reconstructed symmetric part has "
+                                       "denominator > 2")
+    return IntMatrix([[-v // 2 for v in row] for row in m.rows])
 
 
 def reconstruct_plus(w: GradedElement, k: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -174,33 +196,21 @@ def reconstruct_plus(w: GradedElement, k: int) -> tuple[tuple[Fraction, ...], ..
 
     Equal to -1/4 (<(J)_1, w> + (4k-2) w); entries lie in (1/2) Z.
     """
-    if w.degree % 2 != 1:
-        raise ValueError("w must have odd degree")
-    j1 = form_j(w.n).s_expand(2)[1]
-    m = j1.commutator(w.matrix) + w.matrix * (4 * k - 2)
-    out = RatMatrix(m.rows) * Fraction(-1, 4)
-    if any(v.denominator > 2 for row in out.rows for v in row):
-        raise HalfIntegralityViolation("reconstructed symmetric part has "
-                                       "denominator > 2")
-    return out.rows
+    return _halved(_plus2(w, k))
 
 
-def _banded_skew(colsums: Sequence[Fraction]) -> RatMatrix:
+def _banded_skew(colsums: Sequence[int]) -> IntMatrix:
     """The skew matrix supported on the off-diagonal band whose column sums
     are the given vector (which must sum to zero)."""
     n = len(colsums)
-    partial: list[Fraction] = []
-    acc = Fraction(0)
-    for v in colsums:
-        acc += v
-        partial.append(acc)
-    if acc != 0:
-        raise ValueError("column sums must total zero")
+    partial = list(itertools.accumulate(colsums))
+    if partial[-1] != 0:
+        raise HalfIntegralityViolation("column-sum vector does not total zero")
     out = [[0] * n for _ in range(n)]
     for j in range(n - 1):
         out[j + 1][j] = partial[j]
         out[j][j + 1] = -partial[j]
-    return RatMatrix(out)
+    return IntMatrix(out)
 
 
 def w_prime(w: GradedElement, k: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -210,40 +220,34 @@ def w_prime(w: GradedElement, k: int) -> tuple[tuple[Fraction, ...], ...]:
     unitarity); entries are half-integers, genuinely so for some w, e.g.
     w = X_24 - X_25 at n = 5, k = 2, where u = (0, 1/2, 0, 1, -3/2).
     """
-    return _w_prime(reconstruct_plus(w, k)).rows
+    return _halved(_w_prime2(_plus2(w, k)))
 
 
-def _w_prime(plus: Sequence[Sequence[Fraction]]) -> RatMatrix:
-    n = len(plus)
-    u = [-sum(plus[i][j] for i in range(n)) for j in range(n)]
-    if sum(u) != 0:
-        raise HalfIntegralityViolation("column-sum vector does not total zero")
-    return _banded_skew(u)
+def _w_prime2(plus2: IntMatrix) -> IntMatrix:
+    """Twice w_prime, from twice the symmetric part."""
+    return _banded_skew([-v for v in plus2.vec_mul([1] * plus2.n)])
 
 
-def _fractional_class_rep(plus: Sequence[Sequence[Fraction]],
-                          wp: RatMatrix) -> RatMatrix:
-    """Canonical skew, zero-row-sum matrix in the fractional class of
-    (the skew part of (omega)_2k) - w_prime(w, k), given the symmetric part
-    plus = reconstruct_plus(w, k) and wp = w_prime(w, k).
+def _skew2(plus2: IntMatrix) -> IntMatrix:
+    """Twice the witness-free stand-in for the skew part of (omega)_2k,
+    from twice its symmetric part: w_prime plus the canonical skew,
+    zero-row-sum matrix in the fractional class of (the true skew part)
+    - w_prime.
 
     The half-integer positions of the skew part coincide with those of the
-    symmetric part (their sum is integral), so the class is visible from w;
-    the true difference then lies in this representative plus G_2k, which
-    is what lets phi_from_w land in the right coset.
+    symmetric part (their sum is integral), so the class is visible from w:
+    the odd entries of plus2 - wp2, as +-1.  The true difference then lies
+    in this representative plus G_2k, which is what lets phi_from_w land in
+    the right coset.
     """
-    n = len(plus)
-    f = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (plus[i][j] - wp.rows[i][j]).denominator == 2:
-                f[i][j] = Fraction(1, 2)
-                f[j][i] = Fraction(-1, 2)
-    rows = [sum(row) for row in f]
-    if any(r.denominator != 1 for r in rows):
+    n, wp2 = plus2.n, _w_prime2(plus2)
+    f2 = IntMatrix([[(plus2[i, j] - wp2[i, j]) % 2 * ((i < j) - (i > j))
+                     for j in range(n)] for i in range(n)])
+    rows2 = f2.row_sums()
+    if any(r % 2 for r in rows2):
         raise HalfIntegralityViolation("fractional class has no zero-row-sum "
                                        "representative")
-    return RatMatrix(f) - _banded_skew([-r for r in rows])
+    return wp2 + f2 - _banded_skew([-r for r in rows2])
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +255,10 @@ def _fractional_class_rep(plus: Sequence[Sequence[Fraction]],
 
 
 def _expansion_term(n: int, pair: tuple[int, int], w: IntMatrix,
-                    omega_2k: IntMatrix | RatMatrix) -> IntMatrix | RatMatrix:
-    """One summand of the expansion path, exact in the ring of omega_2k."""
-    ring = type(omega_2k)
-    x = ring(gen_x(*pair, n).matrix.rows)
-    a2 = ring(burau_eval_trunc(pure_gen(n, *pair), 3).coefficient(2).rows)
-    w = ring(w.rows)
+                    omega_2k: IntMatrix) -> IntMatrix:
+    """One summand of the expansion path, linear in (w, omega_2k) jointly."""
+    x = gen_x(*pair, n).matrix
+    a2 = burau_eval_trunc(pure_gen(n, *pair), 3).coefficient(2)
     return x.commutator(omega_2k) + a2.commutator(w) + w.commutator(x) * x
 
 
@@ -318,15 +320,12 @@ def phi_from_w(a: KernelElement,
         if target_degree != a.degree + 2:
             a = a.relabel(target_degree - 2)
     n, k = a.n, a.half_degree
-    total = RatMatrix.zero(n)
+    total2 = IntMatrix.zero(n)
     for t in a.terms:
-        plus = reconstruct_plus(t.w, k)
-        wp = _w_prime(plus)
-        skew = wp + _fractional_class_rep(plus, wp)
-        total = total + _expansion_term(n, t.pair, t.w.matrix, skew)
-    try:
-        rep = ((total + total.transpose()) * Fraction(1, 2)).to_int()
-    except ValueError as exc:
-        raise HalfIntegralityViolation("phi value has non-integral "
-                                       "entries") from exc
+        skew2 = _skew2(_plus2(t.w, k))
+        total2 = total2 + _expansion_term(n, t.pair, t.w.matrix * 2, skew2)
+    sym4 = total2 + total2.transpose()
+    if any(v % 4 for v in sym4.vec()):
+        raise HalfIntegralityViolation("phi value has non-integral entries")
+    rep = IntMatrix([[v // 4 for v in row] for row in sym4.rows])
     return CosetElement(GradedElement(2 * k + 1, rep), coset_modulus(n, k))

@@ -12,14 +12,14 @@ Writing A in Gamma as a power series in s gives integer coefficient
 matrices (A)_k; the depth of A is the smallest k >= 1 with (A)_k nonzero.
 gamma_coeff extracts the leading coefficient as a GradedElement.
 
-Words are evaluated by one fold whose literal runs are column operations
-on coefficient stacks: int64 stacks in t-coordinates for the exact image,
-multiplied by ``linalg.stack_mul`` (in float64 under a proven exactness
-bound, and by Kronecker substitution on big integers past it); and object
-stacks in s-coordinates for the image mod s^N.  An exact run whose entries
-could leave int64 carries on with the same operations on object columns of
-Python ints.  Neither makes a Laurent object until the fold ends: the
-exact image becomes a ``LaurentMatrix`` once, at the root.
+Words are evaluated by one fold whose literal runs are one set of column
+operations on coefficient stacks, in two coordinate systems: t-coordinates
+for the exact image and s-coordinates for the image mod s^N.  A run's
+columns are int64 until its entries could leave it and object arrays of
+Python ints past it.  Exact stacks are multiplied by ``linalg.stack_mul``
+(in float64 under a proven exactness bound, and by Kronecker substitution
+on big integers past it), and no Laurent object is made until the fold
+ends: the exact image becomes a ``LaurentMatrix`` once, at the root.
 """
 
 from __future__ import annotations
@@ -80,45 +80,69 @@ def form_j(n: int) -> LaurentMatrix:
 # word evaluation
 
 
-#: int64 entries stay below this; a letter at most triples the largest one
-_INT64_ROOM = (1 << 63) // 3
+@functools.cache
+def _t_inv(p: int) -> np.ndarray:
+    """t^-1 = 1 - s + s^2 - ... mod s^p, as the (p, p) matrix acting on
+    the s-degrees of a column."""
+    k = np.arange(p)
+    return np.tril((-1) ** abs(k[:, None] - k))
 
 
-def _literal_dense(n: int, letters):
-    """A literal run's exact image as a dense pair (low, stack) of
-    ``linalg.stack_mul``: right multiplication by each generator image as
-    column operations on the (span, n) coefficient arrays of the columns,
-    t^low first, never multiplying a generator image out.
+def _literal(n: int, letters, precision: int | None = None):
+    """A literal run's image by column operations on the coefficient
+    arrays of its columns, never multiplying a generator image out.
 
     sigma_i takes columns (a, b) at (i, i+1) to (a + t(b - a), a) and
-    sigma_i^-1 to (b, b + t^-1(a - b)); multiplying by t^+-1 is a shift by
-    one degree.  The degrees lie between minus the run's negative letters
-    and its positive ones, a range allocated once, and a shift never
-    leaves it.  The columns are int64 until their entries could leave it,
-    and from there object arrays of Python ints under the same operations.
+    sigma_i^-1 to (b, b + t^-1(a - b)).  A column is a (span, n) array
+    whose row k holds the coefficients of one degree, and only the maps
+    for t and t^-1 depend on the coordinates:
+
+    - exact (no precision), in t-coordinates from t^low on: t^+-1 is a
+      shift by one degree.  The degrees lie between minus the run's
+      negative letters and its positive ones, a range allocated once, and
+      a shift never leaves it.  The image is a dense pair (low, stack) of
+      ``linalg.stack_mul``.
+    - mod s^precision, in s-coordinates, t = 1 + s: t c = c + s c, and
+      c' = t^-1 c is the running alternating sum c'[k] = c[k] - c'[k-1],
+      one product with the (p, p) matrix of t^-1.  The image is the
+      (precision, n, n) object stack of ``TruncMatrix``.
+
+    A letter at most triples the largest entry of an exact run; mod s^p a
+    sigma_i^-1 can multiply it by 2p + 1.  The columns are int64 while that
+    growth cannot leave it, and object arrays of Python ints past it.
     """
-    neg = sum(s < 0 for _, s in letters)
-    cols = [np.zeros((len(letters) + 1, n), dtype=np.int64) for _ in range(n)]
-    for c in range(n):
-        cols[c][neg, c] = 1
+    if precision is None:
+        span, low, grow = len(letters) + 1, -sum(s < 0 for _, s in letters), 3
+    else:
+        span, low, grow = precision, 0, 2 * precision + 1
+        t_inv = _t_inv(span)
+    room = (1 << 63) // grow
+    start = np.zeros((n, span, n), dtype=np.int64)
+    start[:, -low] = np.eye(n, dtype=np.int64)
+    cols = list(start)
     top = 1
     for i, s in letters:
-        if top > _INT64_ROOM:
+        if top > room:
             top = max(int(np.abs(c).max()) for c in cols)
-            if top > _INT64_ROOM:
+            if top > room:
                 cols = [c.astype(object) for c in cols]
                 top = -math.inf  # Python ints need no bound
-        top *= 3
+        top *= grow
         a, b = cols[i - 1], cols[i]
         if s > 0:
-            new = a.copy()
+            # a + t(b - a) is a + shift(b - a), and b + s(b - a) mod s^p
+            new = (a if precision is None else b).copy()
             new[1:] += (b - a)[:-1]
             cols[i - 1], cols[i] = new, a
-        else:
+        elif precision is None:
             new = b.copy()
             new[:-1] += (a - b)[1:]
             cols[i - 1], cols[i] = b, new
-    return trim_stack(-neg, np.stack(cols, axis=2))
+        else:
+            cols[i - 1], cols[i] = b, b + t_inv @ (a - b)
+    if precision is None:
+        return trim_stack(low, np.stack(cols, axis=2))
+    return np.array(cols, dtype=object).transpose(1, 2, 0)
 
 
 def burau_eval(w: BraidWord) -> LaurentMatrix:
@@ -126,44 +150,14 @@ def burau_eval(w: BraidWord) -> LaurentMatrix:
 
     The word fold's inverse flag means no matrix is inverted.  Its values
     are dense pairs (low, stack), int64 or past it object, leaves from
-    ``_literal_dense``, multiplied by ``linalg.stack_mul`` from leaf to
+    ``_literal``, multiplied by ``linalg.stack_mul`` from leaf to
     root; the root's pair becomes the ``LaurentMatrix``.
     """
     n = w.n
     return LaurentMatrix.from_stack(*fold(
-        w, lambda letters: _literal_dense(n, letters),
+        w, lambda letters: _literal(n, letters),
         (0, np.eye(n, dtype=np.int64)[None]),
         product=lambda values: functools.reduce(stack_mul, values)))
-
-
-def _literal_stack(n: int, letters, precision: int) -> np.ndarray:
-    """A literal run's image in Z[s]/(s^precision), as the (p, n, n) object
-    stack of ``TruncMatrix``: the column operations of ``_literal_dense``
-    in s-coordinates, t = 1 + s, with no Laurent entry on the way.
-
-    A column is a flat list whose entry k*n + r is the s^k coefficient of
-    row r, so multiplying by s shifts it n places.  sigma_i takes columns
-    (a, b) at (i, i+1) to (b + s(b - a), a) and sigma_i^-1 to
-    (b, b + t^-1 (a - b)), where c' = t^-1 c is the running alternating sum
-    c'[k] = c[k] - c'[k-1] over degrees.  A letter costs O(p n) whatever
-    the length of the run.
-    """
-    size = precision * n
-    cols = [[0] * size for _ in range(n)]
-    for c in range(n):
-        cols[c][c] = 1
-    for i, s in letters:
-        a, b = cols[i - 1], cols[i]
-        if s > 0:
-            cols[i - 1] = b[:n] + [y + v - u for y, u, v in zip(b[n:], a, b)]
-            cols[i] = a
-        else:
-            d = [u - v for u, v in zip(a, b)]
-            for j in range(n, size):
-                d[j] -= d[j - n]
-            cols[i - 1] = b
-            cols[i] = [v + x for v, x in zip(b, d)]
-    return np.array(cols, dtype=object).reshape(n, precision, n).transpose(1, 2, 0)
 
 
 def burau_eval_trunc(w: BraidWord, precision: int,
@@ -171,14 +165,15 @@ def burau_eval_trunc(w: BraidWord, precision: int,
     """Image of a word in the ring truncated at s^precision.
 
     The same fold as ``burau_eval``, with leaves built on the coefficient
-    stack by ``_literal_stack``: no Laurent polynomial or matrix is made.
+    stack by ``_literal`` in s-coordinates: no Laurent polynomial or matrix
+    is made.
     Powers go through ``TruncMatrix.__pow__``: the image of a pure braid is
     unipotent there, so its power is a binomial series of a few products
     however large the exponent.  ``memo`` is the fold's: callers that
     evaluate several words sharing nodes at one precision pass one dict.
     """
     return fold(w, lambda letters: TruncMatrix(
-                    _literal_stack(w.n, letters, precision)),
+                    _literal(w.n, letters, precision)),
                 TruncMatrix.identity(w.n, precision),
                 memo=memo, power=TruncMatrix.__pow__)
 

@@ -8,12 +8,14 @@ sums) were computed once from the exact evaluation path and are pinned
 here; the tests then insist both paths keep reproducing them.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from burau.liealg import GradedElement, gen_x, gen_y
-from burau.linalg import IntMatrix
+from burau.density import default_library, solve_in_degree
+from burau.liealg import GradedElement, g_basis, gen_x, gen_y
+from burau.linalg import IntLattice, IntMatrix
 from burau.phi import (CosetElement, DepthViolation, KernelElement,
                        KernelTerm, KernelViolation, coset_modulus, phi_eval,
                        phi_from_w, reconstruct_plus, w_prime)
@@ -111,6 +113,20 @@ def test_w_prime_column_sums_frozen():
     assert [sum(wp[i][j] for i in range(N)) for j in range(N)] == u
 
 
+def test_reconstruction_rows_are_fractions():
+    w = GradedElement(3, (gen_x(2, 4, N) - gen_x(2, 5, N)).matrix)
+    half = Fraction(1, 2)
+    assert w_prime(w, 2) == ((0, 0, 0, 0, 0),
+                             (0, 0, -half, 0, 0),
+                             (0, half, 0, -half, 0),
+                             (0, 0, half, 0, -3 * half),
+                             (0, 0, 0, 3 * half, 0))
+    for rows in (reconstruct_plus(w, 2), w_prime(w, 2)):
+        assert type(rows) is tuple and len(rows) == N
+        assert all(type(row) is tuple and len(row) == N for row in rows)
+        assert all(type(v) is Fraction for row in rows for v in row)
+
+
 # ---------------------------------------------------------------------------
 # phi, direct path
 
@@ -180,6 +196,34 @@ def test_phi_from_w_agrees_with_direct():
     direct = phi_eval(flagship_witnessed())
     assert phi_from_w(flagship()) == direct
     assert phi_from_w(flagship(), target_degree=5) == direct
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_phi_from_w_matches_phi_eval_on_random_kernel_elements(n):
+    # kernel elements of G_1 (x) G_3 -> G_4 drawn from the integer relations
+    # among the brackets <X_pair, b> over the basis b of G_3, each term
+    # witnessed by the library's solution for its W
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    slots = [(pair, b.matrix) for pair in pairs for b in g_basis(n, 3)]
+    relations = IntLattice(n * n, [gen_x(*pair, n).matrix.commutator(b).vec()
+                                   for pair, b in slots]).kernel_basis()
+    lib = default_library(n, 3)
+    rng = random.Random(26)
+    for _ in range(3):
+        coeffs = [0] * len(slots)
+        for rel in rng.sample(relations, 3):
+            c = rng.choice((-2, -1, 1, 2))
+            coeffs = [x + c * y for x, y in zip(coeffs, rel)]
+        ws = {pair: IntMatrix.zero(n) for pair in pairs}
+        for (pair, b), c in zip(slots, coeffs):
+            ws[pair] = ws[pair] + b * c
+        terms = []
+        for pair, m in ws.items():
+            if not m.is_zero():
+                w = GradedElement(3, m)
+                terms.append(KernelTerm(pair, w, solve_in_degree(lib, w)))
+        a = KernelElement(terms)
+        assert phi_from_w(a) == phi_eval(a)
 
 
 def test_phi_from_w_zero():

@@ -131,10 +131,11 @@ def test_literal_runs_are_products_of_generator_images(monkeypatch):
     # an oracle that shares nothing with the evaluator's column operations
     rng = random.Random(403)
     runs = []
-    real = rep._literal_dense
-    monkeypatch.setattr(rep, "_literal_dense",
-                        lambda n, letters: runs.append(len(letters))
-                        or real(n, letters))
+    real = rep._literal
+    monkeypatch.setattr(rep, "_literal",
+                        lambda n, letters, precision=None: (
+                            precision is None and runs.append(len(letters)))
+                        or real(n, letters, precision))
     for n in range(2, 7):
         lengths = [rng.randint(0, 9) for _ in range(4)] + [33, 64, 100]
         for length in lengths:
@@ -153,7 +154,17 @@ def test_literal_runs_are_products_of_generator_images(monkeypatch):
                 assert runs == []
 
 
-def test_literal_stack_is_the_truncated_exact_run():
+def _assert_truncated_leaf(n, letters, precision, expect):
+    """The truncated leaf of a run equals ``expect``; returns its largest
+    entry."""
+    got = rep._literal(n, letters, precision)
+    assert got.shape == (precision, n, n) and got.dtype == object
+    assert all(type(x) is int for x in got.ravel())
+    assert TruncMatrix(got) == expect
+    return max(abs(x) for x in got.ravel())
+
+
+def test_truncated_run_is_the_truncated_exact_run():
     # the s-coordinate column operations against the exact column
     # operations pushed through LaurentMatrix.truncate
     rng = random.Random(404)
@@ -169,15 +180,28 @@ def test_literal_stack_is_the_truncated_exact_run():
         for letters in runs:
             exact = _literal(n, letters)
             for precision in range(1, 9):
-                got = rep._literal_stack(n, letters, precision)
-                assert got.shape == (precision, n, n) and got.dtype == object
-                assert all(type(x) is int for x in got.ravel())
-                assert TruncMatrix(got) == exact.truncate(precision)
+                _assert_truncated_leaf(n, letters, precision,
+                                       exact.truncate(precision))
+    # mod s^8 a sigma_i^-1 can multiply an entry by 17, so the columns
+    # leave int64 from 2^63 / 17 on.  Entries mod s^p grow only as a
+    # polynomial of degree p - 1 in the length, fastest for a power of one
+    # letter: the s^7 coefficients of sigma_i^(+-L) pass 2^63 by L = 2000,
+    # and an entry that large shows the run carried on in objects.  Runs
+    # whose sign follows the parity of i cancel more and grow far slower.
+    # Here the oracle is the Laurent-entry run of a block, raised to the
+    # 16th power by exact squarings
+    for n, i, sign, block in ((2, 1, -1, 125), (3, 2, 1, 135), (4, 2, -1, 75)):
+        exact = _literal(n, [(i, sign)] * block)
+        for _ in range(4):
+            exact = exact * exact
+        top = _assert_truncated_leaf(n, [(i, sign)] * (16 * block), 8,
+                                     exact.truncate(8))
+        assert (top >= 1 << 63) == (block >= 125)
 
 
 def _assert_dense_leaf(n, letters):
     """The dense leaf of a run equals the oracle; returns its dtype."""
-    low, stack = rep._literal_dense(n, letters)
+    low, stack = rep._literal(n, letters)
     assert stack.shape[1:] == (n, n) and stack[0].any() and stack[-1].any()
     if stack.dtype == object:
         assert all(type(x) is int for x in stack.ravel())

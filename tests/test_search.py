@@ -516,12 +516,12 @@ def _lying_stack(stack):
                                   Power(5, pure_gen(5, 1, 2), 10 ** 7)],
                          ids=["A12", "A12^(10^7)"])
 def test_lying_scan_leaf_is_caught(word, monkeypatch):
-    # the scan's leaves come from rep._literal_stack; the recheck builds its
-    # own from the generator images, and a power of any exponent by
+    # the scan's leaves come from rep._literal mod s^p; the recheck builds
+    # its own from the generator images, and a power of any exponent by
     # square-and-multiply, so the true depth 1 shows
-    real = rep._literal_stack
-    monkeypatch.setattr(rep, "_literal_stack",
-                        lambda n, letters, p: _lying_stack(real(n, letters, p)))
+    real = rep._literal
+    monkeypatch.setattr(rep, "_literal", lambda n, letters, p=None: (
+        real(n, letters) if p is None else _lying_stack(real(n, letters, p))))
     cfg = SearchConfig(5, 3, [word], max_nesting=1, max_terms=1, precision=4)
     with pytest.raises(AssertionError,
                        match="recheck disagrees with the scan"):
