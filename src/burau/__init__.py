@@ -2,8 +2,8 @@
 coefficients, and constructive approximation by braid words."""
 
 from .laurent import ONE, S, T, T_INV, ZERO, LaurentPoly, TruncSeries
-from .linalg import (IntLattice, IntMatrix, LaurentMatrix, NonUnitDeterminant,
-                     TruncMatrix, matrix_lattice, perm_matrix, row_hnf)
+from .linalg import (IntLattice, IntMatrix, LaurentMatrix, TruncMatrix,
+                     matrix_lattice, perm_matrix, row_hnf)
 from .words import (BraidWord, Commutator, Concat, IndexOutOfRange, Inverse,
                     Literal, ParseError, Perm, Power, all_perms, alpha_word,
                     commutator, concat, delta_word, empty_word, flatten, gen,

@@ -149,14 +149,11 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _input_matrix(args) -> LaurentMatrix:
-    if args.matrix is not None:
-        return _load_matrix(args.matrix)
-    return burau_eval(_parse(args.word, args.n, args.let))
-
-
 def cmd_check(args) -> int:
-    m = _input_matrix(args)
+    if args.matrix is not None:
+        m = _load_matrix(args.matrix)
+    else:
+        m = burau_eval(_parse(args.word, args.n, args.let))
     report = gamma_check(m)
     violations = [] if report else list(report.violations)
     status = "pass" if report else "fail"
@@ -211,8 +208,13 @@ def cmd_coeff(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    m = _input_matrix(args)
-    coeffs = m.s_expand(args.precision)
+    if args.matrix is not None:
+        coeffs = _load_matrix(args.matrix).s_expand(args.precision)
+    else:
+        # truncation is a ring homomorphism: the word is read mod s^N
+        m = burau_eval_trunc(_parse(args.word, args.n, args.let),
+                             args.precision)
+        coeffs = [m.coefficient(k) for k in range(args.precision)]
     _emit(args, {"command": "expand",
                  "coefficients": [c.to_json() for c in coeffs]},
           "\n\n".join(f"s^{k}:\n{c}" for k, c in enumerate(coeffs)))

@@ -20,12 +20,28 @@ floating point.
 from __future__ import annotations
 
 import math
+import operator
 import re
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, TypeVar, Union
 
 Scalar = Union[int, "LaurentPoly"]
 
 _DECIMAL = re.compile(r"-?[0-9]+")
+
+V = TypeVar("V")
+
+
+def square_and_multiply(value: V, k: int, mul: Callable[[V, V], V],
+                        one: V) -> V:
+    """value^k for k >= 0 in a monoid with product ``mul`` and identity
+    ``one``: squares and multiplies by ``value`` from the top bit of k,
+    so one power makes at most 2 log2(k) products."""
+    out = value if k else one
+    for bit in bin(k)[3:]:
+        out = mul(out, out)
+        if bit == "1":
+            out = mul(out, value)
+    return out
 
 
 def json_int(value, decimal_string: bool = False, name: str | None = None) -> int:
@@ -166,28 +182,16 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "LaurentPoly":
+        """self^k: by square-and-multiply for k >= 0; for k < 0 only a
+        unit +-t^a has one, (+-1)^k t^(a k), and anything else raises
+        ValueError."""
         if k < 0:
             unit = self.as_unit()
             if unit is None:
                 raise ValueError("negative powers only defined for units +-t^a")
             sign, exp = unit
             return LaurentPoly({exp * k: sign if k % 2 else 1})
-        result = ONE
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def inverse(self) -> "LaurentPoly":
-        """Inverse of a unit +-t^a.  Raises ValueError otherwise."""
-        unit = self.as_unit()
-        if unit is None:
-            raise ValueError("not a unit of Z[t,t^-1]")
-        sign, exp = unit
-        return LaurentPoly({-exp: sign})
+        return square_and_multiply(self, k, operator.mul, ONE)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LaurentPoly):

@@ -52,11 +52,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .laurent import ONE, ZERO, LaurentPoly, TruncSeries, json_int
-
-
-class NonUnitDeterminant(Exception):
-    """Raised when inverting a matrix whose determinant is not +-t^a."""
+from .laurent import (ONE, ZERO, LaurentPoly, TruncSeries, json_int,
+                      square_and_multiply)
 
 
 def _square(rows: Sequence[Sequence]) -> int:
@@ -190,18 +187,6 @@ class SquareMatrix:
     def det(self):
         return self._det_minors(self.rows)
 
-    def _adjugate(self) -> list[list]:
-        """adj[i][j] = (-1)^(i+j) det(minor with row j, col i removed)."""
-        n, rows = self.n, self.rows
-        out = [[self._zero] * n for _ in range(n)]
-        for j in range(n):
-            reduced = [row for r, row in enumerate(rows) if r != j]
-            for i in range(n):
-                d = self._det_minors([[row[c] for c in range(n) if c != i]
-                                      for row in reduced])
-                out[i][j] = -d if (i + j) % 2 else d
-        return out
-
 
 def _bracketed(cells: Sequence[Sequence[str]]) -> str:
     """Rows of entry texts as bracketed lines, right-aligned to one width."""
@@ -244,13 +229,6 @@ class IntMatrix(SquareMatrix):
     def permutation_images(self) -> tuple[int, ...]:
         """1-based images i -> pi(i), assuming is_permutation()."""
         return tuple(row.index(1) + 1 for row in self.rows)
-
-    def inverse(self) -> "IntMatrix":
-        """Inverse of a matrix with determinant +-1."""
-        d = self.det()
-        if d not in (1, -1):
-            raise NonUnitDeterminant(f"integer determinant {d} is not +-1")
-        return IntMatrix([[v * d for v in row] for row in self._adjugate()])
 
     def vec(self) -> tuple[int, ...]:
         """Row-major vectorization into Z^(n^2)."""
@@ -377,14 +355,6 @@ class LaurentMatrix(SquareMatrix):
         Exact, with no precision cap: the s-valuation of A - I.
         """
         return (self - LaurentMatrix.identity(self.n)).s_valuation()
-
-    def inverse(self) -> "LaurentMatrix":
-        """Adjugate inverse; requires a unit determinant +-t^a."""
-        d = self.det()
-        if d.as_unit() is None:
-            raise NonUnitDeterminant(f"determinant {d} is not a unit of Z[t,t^-1]")
-        dinv = d.inverse()
-        return LaurentMatrix([[e * dinv for e in row] for row in self._adjugate()])
 
     def to_json(self) -> dict:
         return {"n": self.n,
@@ -705,8 +675,8 @@ class TruncMatrix:
         A^k = sum of C(k, j) N^j over j < N/v: a binomial series that holds
         for negative k too, as C(k, j) is an integer.  It stops early at
         j > k when k >= 0, and makes fewer than N/v products whatever k
-        is.  Any other A squares and multiplies from the top bit of k >= 1;
-        k = 0 gives I, and k < 0 raises the inverse.
+        is.  Any other A goes through ``square_and_multiply``, of the
+        inverse when k < 0.
         """
         ident = TruncMatrix.identity(self.n, self.precision)
         v = self.depth_bound()
@@ -720,28 +690,25 @@ class TruncMatrix:
                 out = TruncMatrix(out.stack + c * term.stack)
                 j += 1
             return out
-        if k < 0:
-            return self.inverse() ** -k
-        out = self if k else ident
-        for bit in bin(k)[3:]:
-            out = out * out
-            if bit == "1":
-                out = out * self
-        return out
+        base = self.inverse() if k < 0 else self
+        return square_and_multiply(base, abs(k), operator.mul, ident)
 
     def inverse(self) -> "TruncMatrix":
-        """Inverse in the truncated ring.
+        """Inverse in the truncated ring of a matrix whose constant
+        coefficient H is a permutation matrix, as that of every braid image
+        is; any other raises ValueError.
 
-        The constant coefficient H must be invertible over Z (determinant
-        +-1); for the matrices this package meets it is a permutation
-        matrix.  A unipotent matrix (H = I) is inverted by the binomial
-        series of ``self ** -1``; otherwise A^-1 = (H^-1 A)^-1 H^-1, whose
-        middle factor is unipotent.
+        A unipotent matrix (H = I) is inverted by the binomial series of
+        ``self ** -1``.  Otherwise H^-1 is the transpose of H, and
+        A^-1 = (H^-1 A)^-1 H^-1, whose middle factor is unipotent.
         """
         if self.depth_bound():
             return self ** -1
-        head_inv = TruncMatrix.from_int(self.coefficient(0).inverse(),
-                                        self.precision)
+        head = self.coefficient(0)
+        if not head.is_permutation():
+            raise ValueError("only a matrix whose constant coefficient is a "
+                             "permutation matrix is inverted")
+        head_inv = TruncMatrix.from_int(head.transpose(), self.precision)
         return (head_inv * self) ** -1 * head_inv
 
     def to_json(self) -> dict:

@@ -33,6 +33,8 @@ import operator
 import re
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
+from .laurent import square_and_multiply
+
 
 class ParseError(ValueError):
     """Syntax error in a braid-word string, with position and expectations."""
@@ -264,20 +266,16 @@ def fold(w: BraidWord, leaf: Callable[[Letters], V], one: V,
     unless given).  Inverses are pushed down to the leaves, so the monoid
     needs no inversion.  ``power(value, k)`` raises the value of a power's
     child, under the inverse flag that the exponent's sign implies, to
-    k = |exponent| >= 0; unless given, it squares and multiplies through
-    ``product`` from the top bit of k.  Every node is folded, the child of
+    k = |exponent| >= 0; unless given, it is ``square_and_multiply``
+    through ``product`` of two values.  Every node is folded, the child of
     a zero power too.  ``memo``, when given, receives the value of every
     (node, inverse flag) folded.
     """
     memo = {} if memo is None else memo
     if power is None:
         def power(value: V, k: int) -> V:
-            out = value if k else one
-            for bit in bin(k)[3:]:
-                out = product([out, out])
-                if bit == "1":
-                    out = product([out, value])
-            return out
+            return square_and_multiply(value, k,
+                                       lambda a, b: product([a, b]), one)
 
     def go(node: BraidWord, inv: bool) -> V:
         key = (node, inv)

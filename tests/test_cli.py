@@ -8,6 +8,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -226,6 +227,49 @@ def test_expand_identity_word():
     c0, c1 = lines[0]["coefficients"]
     assert c0 == [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     assert c1 == [[0] * 4 for _ in range(4)]
+
+
+def test_expand_of_a_huge_power_is_read_from_a_truncation():
+    argv = ["--n", "3", "--word", "s1^99999999"]
+    t0 = time.perf_counter()
+    code, lines, _ = run(["expand", *argv, "--precision", "3"])
+    assert time.perf_counter() - t0 < 1
+    assert code == 0
+    _, evaluated, _ = run(["eval", *argv, "--truncate", "3"])
+    entries = evaluated[0]["matrix"]["entries"]
+    assert lines[0]["coefficients"] == [
+        [[e[k] for e in row] for row in entries] for k in range(3)]
+
+
+def _random_word_text(rng, n):
+    """A word in the CLI syntax: letters, pure generators, powers and
+    commutators."""
+    def atom():
+        i = rng.randint(1, n - 1)
+        letter = rng.choice((f"s{i}", f"S{i}", f"A{i}{rng.randint(i + 1, n)}"))
+        return f"{letter}^{rng.randint(-4, 4)}" if rng.random() < 0.5 else letter
+    parts = [atom() for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.5:
+        parts.append(f"[{atom()} {atom()}, {atom()}]^{rng.randint(-3, 3)}")
+    return " ".join(parts)
+
+
+def test_expand_of_a_word_is_the_s_expansion_of_its_exact_image():
+    rng = random.Random(32)
+    for _ in range(6):
+        n, p = rng.randint(2, 5), rng.randint(1, 6)
+        text = _random_word_text(rng, n)
+        argv = ["expand", "--n", str(n), "--word", text, "--precision", str(p)]
+        coeffs = burau_eval(cli._parse(text, n, None)).s_expand(p)
+        code, out = run_human(argv)
+        assert code == 0
+        assert out == json.dumps(
+            {"command": "expand", "coefficients": [c.to_json() for c in coeffs]},
+            separators=(",", ":")) + "\n"
+        code, out = run_human(["--human", *argv])
+        assert code == 0
+        assert out == "\n\n".join(
+            f"s^{k}:\n{c}" for k, c in enumerate(coeffs)) + "\n"
 
 
 # ---------------------------------------------------------------------------

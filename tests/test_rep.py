@@ -333,7 +333,8 @@ def test_trunc_eval_matches_exact():
 def test_eval_handles_negative_powers_of_composites():
     from burau.words import Power
     w = Power(4, concat(gen(4, 1), gen(4, 2)), -3)
-    base_inv = (burau_eval(gen(4, 1)) * burau_eval(gen(4, 2))).inverse()
+    # (s1 s2)^-1 = S2 S1
+    base_inv = burau_gen(4, 2, -1) * burau_gen(4, 1, -1)
     assert burau_eval(w) == base_inv * base_inv * base_inv
 
 
